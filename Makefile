@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-diff check bench bench-all bench-campaign
+.PHONY: all build test race vet vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build bench-diff check bench bench-all bench-campaign
 
 all: check
 
@@ -116,6 +116,13 @@ ll-smoke:
 bench-smoke:
 	$(GO) test -bench=BenchmarkEngineGEMM -benchtime=1x -run '^$$' .
 
+# bench/ is a nested module root `go build ./...` never compiles, yet it is
+# the accept/reject benchmark and it compiles against this module's API
+# (internal packages included). Vet it — build only, no run — so an API
+# refactor cannot break it unnoticed.
+bench-build:
+	cd bench && $(GO) vet .
+
 # Compare the last two recorded points in BENCH_engine.json: fails when an
 # Engine* benchmark regressed more than 10% in ns/op (other benchmarks are
 # advisory). Record a fresh point first with `make bench LABEL=...`.
@@ -124,7 +131,7 @@ bench-diff:
 
 # bench-diff is advisory in check (leading `-`): the committed points span
 # different machines, so a cross-host delta must not fail the tier-1 gate.
-check: build vet vet-sim test race golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke analyze-smoke fuzz-smoke
+check: build vet vet-sim test race golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build analyze-smoke fuzz-smoke
 	-$(MAKE) bench-diff
 
 # Timed engine benchmarks (EngineGEMM/EngineBFS/DSECampaign/CampaignWarm),

@@ -45,33 +45,20 @@ type ClusterOpts struct {
 // (accelerator-to-accelerator, one hop) and from the host over the global
 // crossbar.
 func (s *SoC) NewCluster(name string, o ClusterOpts) *Cluster {
-	width := o.XbarWidth
-	if width <= 0 {
-		width = 8
-	}
 	c := &Cluster{Name: name, soc: s}
-	c.Local = mem.NewCrossbar(name+".xbar", s.Q, s.SysClk, 1, width, s.Stats)
+	c.Local = register(&s.system, mem.NewCrossbar(name+".xbar", s.Q, s.SysClk, 1, orDefault(o.XbarWidth, 8), s.Stats))
 	c.Local.SetDefault(s.Xbar)
 
 	if o.SharedSPMBytes > 0 {
-		lat, banks, ports := o.SPMLatency, o.SPMBanks, o.SPMPorts
-		if lat <= 0 {
-			lat = 2
-		}
-		if banks <= 0 {
-			banks = 4
-		}
-		if ports <= 0 {
-			ports = 4
-		}
-		// The SPM registers with the global crossbar via AddSPM; register
-		// it with the local one too so intra-cluster traffic stays local.
-		c.SharedSPM = s.AddSPM(name+".spm", o.SharedSPMBytes, lat, banks, ports)
+		// The SPM attaches to the global crossbar via AddSPM; attach it to
+		// the local one too so intra-cluster traffic stays local.
+		c.SharedSPM = s.AddSPM(name+".spm", o.SharedSPMBytes,
+			orDefault(o.SPMLatency, 2), orDefault(o.SPMBanks, 4), orDefault(o.SPMPorts, 4))
 		c.Local.Attach(c.SharedSPM)
 	}
 
 	dmaClk := sim.NewClockDomainMHz(name+".dma.clk", 200)
-	c.DMA = mem.NewBlockDMA(name+".dma", s.Q, dmaClk, s.allocMMR(mem.DMANumRegs), c.Local, s.Stats)
+	c.DMA = register(&s.system, mem.NewBlockDMA(name+".dma", s.Q, dmaClk, s.allocMMR(mem.DMANumRegs), c.Local, s.Stats))
 	c.DMA.BytesPerCycle = 4
 	c.Local.Attach(c.DMA.MMR)
 	s.Xbar.Attach(c.DMA.MMR)
@@ -109,8 +96,8 @@ type AccelBuild struct {
 // and DRAM — the paper's coherence point between accelerator clusters and
 // other processing elements (Sec. III-D2).
 func (s *SoC) EnableLLC(sizeBytes, lineBytes, assoc int) *mem.Cache {
-	llc := mem.NewCache("llc", s.Q, s.SysClk, s.Space, s.DRAM.Range(), s.DRAM,
-		sizeBytes, lineBytes, assoc, 4, 16, s.Stats)
+	llc := register(&s.system, mem.NewCache("llc", s.Q, s.SysClk, s.Space, s.DRAM.Range(), s.DRAM,
+		sizeBytes, lineBytes, assoc, 4, 16, s.Stats))
 	s.Xbar.SetDefault(llc)
 	return llc
 }

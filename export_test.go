@@ -5,7 +5,7 @@ import "gosalam/kernels"
 // Test-only accessors for session poisoning and pool internals.
 
 // SetTestHookReconfigure installs a hook that runs inside begin between
-// the warm rewind and Reconfigure, so tests can simulate a panic while the
+// retuning and the warm rewind, so tests can simulate a panic while the
 // session's dynamic state is mid-rewrite.
 func (s *Session) SetTestHookReconfigure(fn func()) { s.testHookReconfigure = fn }
 

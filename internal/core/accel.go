@@ -247,30 +247,23 @@ type Accelerator struct {
 
 // NewAccelerator builds an accelerator around an elaborated CDFG. The
 // communications interface must already be constructed; its port counts
-// are overridden from cfg.
+// are overridden from cfg. The engine starts out as Retune(g, cfg)
+// followed by Reset leave it.
 func NewAccelerator(name string, q *sim.EventQueue, g *CDFG, cfg AccelConfig,
 	comm *CommInterface, stats *sim.Group) *Accelerator {
-	cfg = cfg.Normalized()
 	nc := hw.NumFUClasses()
 	a := &Accelerator{
-		CDFG: g, Cfg: cfg, Comm: comm,
-		lastDef:  make([]defRec, g.NumOps),
+		Comm:     comm,
 		fuBusy:   make([]int, nc),
 		fuIssued: make([]int, nc),
 		fuTotal:  make([]int, nc),
-		opStamp:  make([]uint64, g.NumOps),
 		issuedBk: make([]sim.Bucket, nc),
 		occBk:    make([]sim.Bucket, nc),
 	}
-	for _, c := range hw.AllFUClasses() {
-		a.fuTotal[c] = g.FUTotal[c]
-	}
-	comm.ReadPorts = cfg.ReadPorts
-	comm.WritePorts = cfg.WritePorts
-	comm.MaxOutstanding = cfg.MaxOutstanding
-	clk := sim.NewClockDomainMHz(name+".clk", cfg.ClockMHz)
-	a.InitClocked(name, q, clk)
+	a.InitClocked(name, q, nil)
 	a.CycleFn = a.cycle
+	a.Retune(g, cfg)
+	a.Reset()
 
 	gr := stats.Child(name)
 	a.ActiveCycles = gr.Scalar("cycles", "active engine cycles")
@@ -291,7 +284,7 @@ func NewAccelerator(name string, q *sim.EventQueue, g *CDFG, cfg AccelConfig,
 
 	// Wire the MMR start protocol: writing CTRL bit0 launches the kernel
 	// with arguments taken from the argument registers. The closure reads
-	// a.CDFG (not the constructor's g) so Reconfigure can swap the graph.
+	// a.CDFG (not the constructor's g) so Retune can swap the graph.
 	comm.MMR.OnWrite = func(idx int, val uint64) {
 		if idx == CtrlReg && val&1 != 0 && !a.running {
 			n := len(a.CDFG.F.Params)
@@ -305,44 +298,51 @@ func NewAccelerator(name string, q *sim.EventQueue, g *CDFG, cfg AccelConfig,
 	return a
 }
 
-// Reconfigure rebinds an idle accelerator to a (possibly different) shared
-// immutable CDFG and design-point configuration for a warm-started run.
-// The caller must Reset the owning EventQueue and stats group around it;
-// this method rewinds every piece of engine state to its just-constructed
-// zero value — resizing the per-static-op slices for the new graph and
-// keeping the dynOp pool — so a warm run is indistinguishable from a cold
-// one. Panics if a kernel is still executing.
-func (a *Accelerator) Reconfigure(g *CDFG, cfg AccelConfig) {
+// Retune rebinds an idle accelerator to a (possibly different) shared
+// immutable CDFG and design-point configuration. Like the memory devices'
+// Retune it only sets knobs; the next Reset arms the engine for them.
+func (a *Accelerator) Retune(g *CDFG, cfg AccelConfig) {
 	if a.running {
-		panic(fmt.Sprintf("core: accelerator %s reconfigured while busy", a.Name()))
+		panic(fmt.Sprintf("core: accelerator %s retuned while busy", a.Name()))
 	}
 	cfg = cfg.Normalized()
-	if cfg.ClockMHz != a.Cfg.ClockMHz {
+	if a.Clk == nil || cfg.ClockMHz != a.Cfg.ClockMHz {
 		a.Clk = sim.NewClockDomainMHz(a.Name()+".clk", cfg.ClockMHz)
 	}
 	a.CDFG, a.Cfg = g, cfg
-	if cap(a.lastDef) < g.NumOps {
-		a.lastDef = make([]defRec, g.NumOps)
-		a.opStamp = make([]uint64, g.NumOps)
-	} else {
-		a.lastDef = a.lastDef[:g.NumOps]
-		a.opStamp = a.opStamp[:g.NumOps]
-	}
-	for i := range a.lastDef {
-		a.lastDef[i] = defRec{}
-	}
-	for i := range a.opStamp {
-		a.opStamp[i] = 0
-	}
-	for i := range a.fuTotal {
-		a.fuTotal[i], a.fuBusy[i], a.fuIssued[i] = 0, 0, 0
-	}
-	for _, c := range hw.AllFUClasses() {
-		a.fuTotal[c] = g.FUTotal[c]
-	}
 	a.Comm.ReadPorts = cfg.ReadPorts
 	a.Comm.WritePorts = cfg.WritePorts
 	a.Comm.MaxOutstanding = cfg.MaxOutstanding
+}
+
+// Reset rewinds the whole accelerator node — communications interface and
+// engine — for a warm-started run, arming the engine for the CDFG and
+// configuration it currently holds. The caller must Reset the owning
+// EventQueue and stats group around it; every piece of engine state
+// returns to its just-constructed zero value — the per-static-op slices
+// resized for the current graph, the dynOp pool kept — so a warm run is
+// indistinguishable from a cold one. Timeline lanes survive while the CDFG
+// does: same graph, same instantiated units. Panics if a kernel is still
+// executing.
+func (a *Accelerator) Reset() {
+	if a.running {
+		panic(fmt.Sprintf("core: accelerator %s reset while busy", a.Name()))
+	}
+	a.Comm.Reset()
+	g := a.CDFG
+	if cap(a.lastDef) < g.NumOps {
+		a.lastDef = make([]defRec, g.NumOps)
+		a.opStamp = make([]uint64, g.NumOps)
+	}
+	a.lastDef, a.opStamp = a.lastDef[:g.NumOps], a.opStamp[:g.NumOps]
+	clear(a.lastDef)
+	clear(a.opStamp)
+	clear(a.fuTotal)
+	clear(a.fuBusy)
+	clear(a.fuIssued)
+	for _, c := range hw.AllFUClasses() {
+		a.fuTotal[c] = g.FUTotal[c]
+	}
 	a.resQ = a.resQ[:0]
 	a.pendingMem = a.pendingMem[:0]
 	a.seq, a.inflight = 0, 0
@@ -1152,8 +1152,9 @@ func (a *Accelerator) recordCycleStats(issued int, issuedFP bool) {
 
 // AttachTimeline binds recorder lanes for the engine: one stall-attributed
 // cycle lane, load/store port lanes, and one lane per instantiated FU
-// class. A nil recorder detaches. Call after Reconfigure when the CDFG or
-// FU limits changed, so the lane set matches the instantiated units.
+// class. A nil recorder detaches. Call after the Reset that follows a Retune
+// when the CDFG or FU limits changed, so the lane set matches the
+// instantiated units.
 func (a *Accelerator) AttachTimeline(rec timeline.Recorder) {
 	a.rec = rec
 	if rec == nil {

@@ -305,8 +305,8 @@ func TestStreamWindows(t *testing.T) {
 	b.Ret(nil)
 
 	r := newRig(t, f, DefaultConfig(), nil)
-	inBuf := mem.NewStreamBuffer("in", 64, r.stats)
-	outBuf := mem.NewStreamBuffer("out", 64, r.stats)
+	inBuf := mem.NewStreamBuffer("in", r.q, 64, r.stats)
+	outBuf := mem.NewStreamBuffer("out", r.q, 64, r.stats)
 	inWin := mem.AddrRange{Base: 0xE0000000, Size: 0x1000}
 	outWin := mem.AddrRange{Base: 0xE0010000, Size: 0x1000}
 	r.comm.AttachStream(inWin, inBuf, StreamIn)

@@ -50,7 +50,7 @@ func TestLoadFromOutputStreamPanics(t *testing.T) {
 	b.Ret(nil)
 
 	r := newRig(t, f, DefaultConfig(), nil)
-	buf := mem.NewStreamBuffer("b", 64, r.stats)
+	buf := mem.NewStreamBuffer("b", r.q, 64, r.stats)
 	win := mem.AddrRange{Base: 0xE0000000, Size: 0x1000}
 	r.comm.AttachStream(win, buf, StreamOut) // output-only window
 
@@ -66,7 +66,7 @@ func TestLoadFromOutputStreamPanics(t *testing.T) {
 func TestWindowIndex(t *testing.T) {
 	f, _ := buildVecAdd(t)
 	r := newRig(t, f, DefaultConfig(), nil)
-	buf := mem.NewStreamBuffer("b", 64, r.stats)
+	buf := mem.NewStreamBuffer("b", r.q, 64, r.stats)
 	r.comm.AttachStream(mem.AddrRange{Base: 0xE0000000, Size: 0x1000}, buf, StreamIn)
 	r.comm.AttachStream(mem.AddrRange{Base: 0xE0010000, Size: 0x1000}, buf, StreamOut)
 	if r.comm.WindowIndex(0xE0000010) != 0 {

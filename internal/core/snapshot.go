@@ -17,30 +17,30 @@ import (
 // identity is the dense StaticOp ID, valid because restore happens into
 // the same elaborated CDFG.
 
-// CaptureState snapshots the interface's persistent counters and MMRs.
+// capture snapshots the interface's persistent counters and MMRs.
 // Per-cycle counters (readsThisCycle/writesThisCycle) are captured too:
 // a checkpoint can land between an engine edge and a same-tick retry.
-func (c *CommInterface) CaptureState() snapshot.Comm {
-	return snapshot.Comm{
+func (c *CommInterface) capture() *snapshot.Comm {
+	return &snapshot.Comm{
 		ReadsCycle: c.readsThisCycle, WritesCycle: c.writesThisCycle,
 		OutReads: c.outReads, OutWrites: c.outWrites,
 		MMR: c.MMR.Regs(),
 	}
 }
 
-// RestoreState rewinds a freshly Reset interface into a captured state.
-func (c *CommInterface) RestoreState(st snapshot.Comm) error {
+// restore rewinds a freshly Reset interface into a captured state.
+func (c *CommInterface) restore(st *snapshot.Comm) error {
 	c.readsThisCycle, c.writesThisCycle = st.ReadsCycle, st.WritesCycle
 	c.outReads, c.outWrites = st.OutReads, st.OutWrites
 	return c.MMR.RestoreRegs(st.MMR)
 }
 
-// CaptureState snapshots the engine between events. Per-cycle transients
-// (fuIssued, hazard flags, profile counters) are dead at event boundaries
-// and excluded; everything else that outlives an event is recorded.
-func (a *Accelerator) CaptureState() (snapshot.Accel, error) {
-	st := snapshot.Accel{
-		Clk:     a.CaptureClock(),
+// Capture snapshots the accelerator node — engine plus communications
+// interface — between events. Per-cycle engine transients (fuIssued, hazard
+// flags, profile counters) are dead at event boundaries and excluded;
+// everything else that outlives an event is recorded.
+func (a *Accelerator) Capture() (snapshot.Component, error) {
+	st := &snapshot.Accel{
 		Running: a.running, Finished: a.finished, RetBits: a.retBits,
 		Seq:     a.seq,
 		ArgBits: append([]uint64(nil), a.argBits...),
@@ -55,7 +55,7 @@ func (a *Accelerator) CaptureState() (snapshot.Accel, error) {
 	}
 	for qi, d := range a.resQ {
 		if d.st == nil {
-			return snapshot.Accel{}, fmt.Errorf("core: %s: resQ[%d] has no static op", a.Name(), qi)
+			return snapshot.Component{}, fmt.Errorf("core: %s: resQ[%d] has no static op", a.Name(), qi)
 		}
 		sd := snapshot.DynOp{
 			StaticID: int32(d.st.ID), Seq: d.seq,
@@ -87,15 +87,22 @@ func (a *Accelerator) CaptureState() (snapshot.Accel, error) {
 		}
 		st.LastDef[i] = sd
 	}
-	return st, nil
+	return snapshot.Component{Name: a.Name(), Clk: a.CaptureClock(), Accel: st, Comm: a.Comm.capture()}, nil
 }
 
-// RestoreState rewinds an engine — freshly Reconfigure'd against the same
-// CDFG and config — into a captured state, re-inserting pending compute
-// latency events with their historical coordinates. In-flight memory
-// requests are rebuilt separately via RebuildRequest as the memory system
-// restores its queues.
-func (a *Accelerator) RestoreState(st snapshot.Accel) error {
+// Restore rewinds a node — freshly Reset against the same CDFG and config
+// — into a captured state, re-inserting pending compute latency events
+// with their historical coordinates. In-flight
+// memory requests are rebuilt separately via RebuildRequest as the memory
+// system restores its queues, so the node itself resolves none.
+func (a *Accelerator) Restore(c *snapshot.Component, _ mem.Resolver) error {
+	st := c.Accel
+	if st == nil || c.Comm == nil {
+		return fmt.Errorf("core: %s: component carries no engine state", a.Name())
+	}
+	if err := a.Comm.restore(c.Comm); err != nil {
+		return err
+	}
 	g := a.CDFG
 	if len(st.OpStamp) != g.NumOps || len(st.LastDef) != g.NumOps {
 		return fmt.Errorf("core: %s: image has %d static ops, CDFG has %d", a.Name(), len(st.OpStamp), g.NumOps)
@@ -165,9 +172,12 @@ func (a *Accelerator) RestoreState(st snapshot.Accel) error {
 		}
 		a.lastDef[i] = rec
 	}
-	a.RestoreClock(st.Clk)
+	a.RestoreClock(c.Clk)
 	return nil
 }
+
+// Owner is the tag the engine stamps on its loads and stores.
+func (a *Accelerator) Owner() uint8 { return snapshot.OwnerEngine }
 
 // RebuildRequest reconstructs an in-flight engine memory request from its
 // captured form, rebinding it to the restored dynamic op named by its
@@ -191,13 +201,13 @@ func (a *Accelerator) RebuildRequest(sr snapshot.Req) (*mem.Request, error) {
 		cr.wdone = d.arriveFn
 		cr.req = mem.Request{
 			Addr: sr.Addr, Size: sr.Size, Write: true, Data: d.buf[:sr.Size],
-			Done: cr.writeDoneFn, Owner: sr.Owner, OwnerID: sr.OwnerID,
+			Done: cr.writeDoneFn, Owner: sr.Owner, OwnerID: sr.OwnerID, Issued: cr.start,
 		}
 	} else {
 		cr.rdone = d.readDoneFn
 		cr.req = mem.Request{
 			Addr: sr.Addr, Size: sr.Size,
-			Done: cr.readDoneFn, Owner: sr.Owner, OwnerID: sr.OwnerID,
+			Done: cr.readDoneFn, Owner: sr.Owner, OwnerID: sr.OwnerID, Issued: cr.start,
 		}
 		if sr.Size <= len(cr.buf) {
 			cr.req.Data = cr.buf[:sr.Size]

@@ -12,6 +12,7 @@ import (
 
 	"gosalam/internal/mem"
 	"gosalam/internal/sim"
+	"gosalam/internal/timeline"
 )
 
 // GIC is a minimal interrupt controller: devices raise numbered lines;
@@ -57,11 +58,33 @@ func (g *GIC) Line(n int) func() {
 	return func() { g.Raise(n) }
 }
 
+// Name returns the controller's fixed name.
+func (g *GIC) Name() string { return "gic" }
+
 // Reset rewinds the controller for a warm-started run: latched pending
 // lines and registered waiters from an abandoned program are forgotten.
 func (g *GIC) Reset() {
 	clear(g.pending)
 	clear(g.waiters)
+}
+
+// AttachTimeline is a no-op: the controller has no lanes.
+func (g *GIC) AttachTimeline(timeline.Recorder) {}
+
+// Busy reports whether any line is latched or awaited; neither is
+// captured in snapshots.
+func (g *GIC) Busy() bool {
+	for _, n := range g.pending {
+		if n > 0 {
+			return true
+		}
+	}
+	for _, ws := range g.waiters {
+		if len(ws) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Op is one step of a driver program. Ops run strictly in order; each op
@@ -109,10 +132,20 @@ func NewHost(name string, q *sim.EventQueue, clk *sim.ClockDomain,
 // Clk exposes the host clock.
 func (h *Host) Clk() *sim.ClockDomain { return h.clk }
 
+// Name returns the host name.
+func (h *Host) Name() string { return h.name }
+
+// Busy reports whether a driver program is executing. Its progress lives
+// in closures no snapshot can capture, so a busy host blocks checkpoints.
+func (h *Host) Busy() bool { return h.running }
+
 // Reset rewinds the host for a warm-started run: an abandoned program's
 // step closures died with the event queue, so only the running latch
 // remains to clear.
 func (h *Host) Reset() { h.running = false }
+
+// AttachTimeline is a no-op: the host has no lanes.
+func (h *Host) AttachTimeline(timeline.Recorder) {}
 
 // Run executes a driver program; onDone fires after the last op.
 func (h *Host) Run(prog []Op, onDone func()) {

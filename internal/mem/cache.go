@@ -85,13 +85,14 @@ func NewCache(name string, q *sim.EventQueue, clk *sim.ClockDomain,
 	c := &Cache{
 		rng: rng, space: space, downstream: downstream,
 		SizeBytes: sizeBytes, LineBytes: lineBytes, Assoc: assoc,
-		HitCycles: hitCycles, MSHRs: max(1, mshrs), PortsPerCy: 2,
+		HitCycles: hitCycles, PortsPerCy: 2,
 		sets: make([]cacheSet, nSets),
 		mshr: map[uint64]*mshrEntry{},
 	}
 	for i := range c.sets {
 		c.sets[i].lines = make([]cacheLine, assoc)
 	}
+	c.Retune(mshrs)
 	c.InitClocked(name, q, clk)
 	c.CycleFn = c.cycle
 	g := stats.Child(name)
@@ -115,16 +116,18 @@ func NewCache(name string, q *sim.EventQueue, clk *sim.ClockDomain,
 // Range returns the address range the cache fronts.
 func (c *Cache) Range() AddrRange { return c.rng }
 
+// Retune applies the per-design-point knob — the MSHR count (at least one)
+// — at construction and again before each warm run. Geometry (size, line,
+// associativity) is fixed at construction.
+func (c *Cache) Retune(mshrs int) { c.MSHRs = max(1, mshrs) }
+
 // Reset rewinds the cache to its cold state for a warm-started run after
 // the owning EventQueue has been Reset: every line is invalidated, the MSHR
 // file and incoming queue are emptied, and the LRU clock restarts, so a
 // warm run observes exactly the cold-miss behaviour of a fresh cache.
 func (c *Cache) Reset() {
 	for i := range c.sets {
-		lines := c.sets[i].lines
-		for j := range lines {
-			lines[j] = cacheLine{}
-		}
+		clear(c.sets[i].lines)
 	}
 	clear(c.mshr)
 	c.mshrOrder = c.mshrOrder[:0]
@@ -132,6 +135,9 @@ func (c *Cache) Reset() {
 	c.lruTick = 0
 	c.ResetClocked()
 }
+
+// Busy reports whether accesses are queued or misses outstanding.
+func (c *Cache) Busy() bool { return c.Active() || len(c.mshr) > 0 }
 
 // AttachTimeline binds recorder lanes for the cache: the clocked
 // "active" lane, an access lane carrying hit/miss instants, and an MSHR

@@ -131,6 +131,9 @@ func (d *BlockDMA) AttachTimeline(rec timeline.Recorder) {
 	}
 }
 
+// Name returns the DMA name.
+func (d *BlockDMA) Name() string { return d.name }
+
 // Busy reports whether a transfer is in flight.
 func (d *BlockDMA) Busy() bool { return d.busy }
 
@@ -255,6 +258,9 @@ func NewStreamDMA(name string, q *sim.EventQueue, clk *sim.ClockDomain,
 	s.Transfers = g.Scalar("transfers", "completed stream transfers")
 	return s
 }
+
+// Name returns the stream DMA name.
+func (s *StreamDMA) Name() string { return s.name }
 
 // Busy reports whether a stream transfer is in flight.
 func (s *StreamDMA) Busy() bool { return s.busy }

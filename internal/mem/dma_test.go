@@ -111,7 +111,7 @@ func TestBlockDMAIntegrityProperty(t *testing.T) {
 
 func TestStreamBufferHandshake(t *testing.T) {
 	stats := newEnv(64).stats
-	sb := NewStreamBuffer("fifo", 16, stats)
+	sb := NewStreamBuffer("fifo", nil, 16, stats)
 	if !sb.Push([]byte{1, 2, 3, 4}) {
 		t.Fatal("push into empty buffer failed")
 	}
@@ -141,7 +141,7 @@ func TestStreamBufferHandshake(t *testing.T) {
 
 func TestStreamBufferNotify(t *testing.T) {
 	stats := newEnv(64).stats
-	sb := NewStreamBuffer("fifo", 4, stats)
+	sb := NewStreamBuffer("fifo", nil, 4, stats)
 	dataFired, spaceFired := 0, 0
 	sb.NotifyData(func() { dataFired++ })
 	sb.Push([]byte{1})
@@ -164,7 +164,7 @@ func TestStreamBufferNotify(t *testing.T) {
 func TestStreamDMAInOut(t *testing.T) {
 	env := newEnv(1 << 16)
 	dram := NewDRAM("dram", env.q, env.clk, env.space, AddrRange{Base: 0, Size: 1 << 16}, env.stats)
-	sb := NewStreamBuffer("fifo", 256, env.stats)
+	sb := NewStreamBuffer("fifo", env.q, 256, env.stats)
 	in := NewStreamDMA("sdma_in", env.q, env.clk, dram, sb, env.stats)
 	out := NewStreamDMA("sdma_out", env.q, env.clk, dram, sb, env.stats)
 

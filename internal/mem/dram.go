@@ -74,6 +74,9 @@ func (d *DRAM) Reset() {
 	d.ResetClocked()
 }
 
+// Busy reports whether the channel still has requests to serve.
+func (d *DRAM) Busy() bool { return d.Active() }
+
 // AttachTimeline binds the clocked "active" lane for the DRAM channel —
 // service cycles show as activity, gaps as idle. A nil recorder detaches.
 func (d *DRAM) AttachTimeline(rec timeline.Recorder) {

@@ -165,7 +165,7 @@ func TestBlockDMADroppedStart(t *testing.T) {
 // capacity, so a long-lived stream grew its allocation forever.
 func TestStreamBufferHeadReuse(t *testing.T) {
 	stats := newEnv(64).stats
-	sb := NewStreamBuffer("fifo", 64, stats)
+	sb := NewStreamBuffer("fifo", nil, 64, stats)
 
 	// Steady-state streaming at half fill: after the initial fill, no
 	// round should allocate.
@@ -191,7 +191,7 @@ func TestStreamBufferHeadReuse(t *testing.T) {
 
 	// Byte-exactness across the compaction path: interleave uneven pushes
 	// and pops and verify strict FIFO order.
-	sb2 := NewStreamBuffer("fifo2", 32, stats)
+	sb2 := NewStreamBuffer("fifo2", nil, 32, stats)
 	var wrote, read []byte
 	next := byte(0)
 	push := func(n int) {

@@ -16,9 +16,10 @@ import (
 // was. Read Data is never captured: Fire fills read buffers at fire time,
 // so only the (Addr, Size) coordinates matter before then.
 
-// Resolver rebuilds a live *Request (with the correct Done callback and,
-// for writes, payload buffer) from its captured form. The root package
-// supplies one that dispatches on the Owner tag.
+// Resolver rebuilds a live *Request (with the correct Done callback, issue
+// stamp and, for writes, payload buffer) from its captured form. The root
+// package's system core supplies one that hands each request to the device
+// declaring its Owner tag.
 type Resolver func(snapshot.Req) (*Request, error)
 
 // CaptureReq captures one in-flight request. It fails on untagged
@@ -38,23 +39,13 @@ func CaptureReq(r *Request) (snapshot.Req, error) {
 	return sr, nil
 }
 
-// materialize resolves a captured request and re-stamps the fields every
-// owner shares.
-func materialize(sr snapshot.Req, resolve Resolver) (*Request, error) {
-	r, err := resolve(sr)
-	if err != nil {
-		return nil, err
-	}
-	r.Issued = sim.Tick(sr.Issued)
-	return r, nil
-}
-
 // RebuildWriteback reconstructs a timing-only cache writeback; it carries
 // no callback and no functional payload, only bandwidth.
 func RebuildWriteback(sr snapshot.Req) *Request {
 	wb := NewWrite(sr.Addr, make([]byte, sr.Size), nil)
 	wb.TimingOnly = true
 	wb.Owner = snapshot.OwnerWriteback
+	wb.Issued = sim.Tick(sr.Issued)
 	return wb
 }
 
@@ -82,7 +73,7 @@ func (q *reqQueue) capture() ([]snapshot.Req, error) {
 // restore refills a freshly reset FIFO from captured requests.
 func (q *reqQueue) restore(reqs []snapshot.Req, resolve Resolver) error {
 	for _, sr := range reqs {
-		r, err := materialize(sr, resolve)
+		r, err := resolve(sr)
 		if err != nil {
 			return err
 		}
@@ -91,21 +82,25 @@ func (q *reqQueue) restore(reqs []snapshot.Req, resolve Resolver) error {
 	return nil
 }
 
-// CaptureState snapshots the scratchpad's dynamic state.
-func (s *Scratchpad) CaptureState() (snapshot.SPM, error) {
-	st := snapshot.SPM{Clk: s.CaptureClock(), Queues: make([][]snapshot.Req, len(s.queues))}
+// Capture snapshots the scratchpad's dynamic state.
+func (s *Scratchpad) Capture() (snapshot.Component, error) {
+	st := &snapshot.SPM{Queues: make([][]snapshot.Req, len(s.queues))}
 	for b := range s.queues {
 		reqs, err := s.queues[b].capture()
 		if err != nil {
-			return snapshot.SPM{}, fmt.Errorf("%s bank %d: %w", s.Name(), b, err)
+			return snapshot.Component{}, fmt.Errorf("%s bank %d: %w", s.Name(), b, err)
 		}
 		st.Queues[b] = reqs
 	}
-	return st, nil
+	return snapshot.Component{Name: s.Name(), Clk: s.CaptureClock(), SPM: st}, nil
 }
 
-// RestoreState rewinds a freshly Reset scratchpad into a captured state.
-func (s *Scratchpad) RestoreState(st snapshot.SPM, resolve Resolver) error {
+// Restore rewinds a freshly Reset scratchpad into a captured state.
+func (s *Scratchpad) Restore(c *snapshot.Component, resolve Resolver) error {
+	st := c.SPM
+	if st == nil {
+		return fmt.Errorf("mem: %s: component carries no scratchpad state", s.Name())
+	}
 	if len(st.Queues) != len(s.queues) {
 		return fmt.Errorf("mem: %s: image has %d banks, scratchpad has %d", s.Name(), len(st.Queues), len(s.queues))
 	}
@@ -114,16 +109,16 @@ func (s *Scratchpad) RestoreState(st snapshot.SPM, resolve Resolver) error {
 			return err
 		}
 	}
-	s.RestoreClock(st.Clk)
+	s.RestoreClock(c.Clk)
 	return nil
 }
 
-// CaptureState snapshots the cache's dynamic state: line tags, LRU clock,
+// Capture snapshots the cache's dynamic state: line tags, LRU clock,
 // the incoming queue, and the MSHR file (in allocation order) with each
 // entry's waiting requests. The in-flight fill requests themselves are
 // captured wherever they live, as OwnerCacheFill requests.
-func (c *Cache) CaptureState() (snapshot.Cache, error) {
-	st := snapshot.Cache{Clk: c.CaptureClock(), LRUTick: c.lruTick, Sets: make([][]snapshot.CacheLine, len(c.sets))}
+func (c *Cache) Capture() (snapshot.Component, error) {
+	st := &snapshot.Cache{LRUTick: c.lruTick, Sets: make([][]snapshot.CacheLine, len(c.sets))}
 	for i := range c.sets {
 		lines := c.sets[i].lines
 		st.Sets[i] = make([]snapshot.CacheLine, len(lines))
@@ -133,26 +128,30 @@ func (c *Cache) CaptureState() (snapshot.Cache, error) {
 	}
 	var err error
 	if st.Incoming, err = c.incoming.capture(); err != nil {
-		return snapshot.Cache{}, fmt.Errorf("%s incoming: %w", c.Name(), err)
+		return snapshot.Component{}, fmt.Errorf("%s incoming: %w", c.Name(), err)
 	}
 	for _, e := range c.mshrOrder {
 		m := snapshot.MSHR{LineAddr: e.lineAddr}
 		for _, r := range e.waiting {
 			sr, cerr := CaptureReq(r)
 			if cerr != nil {
-				return snapshot.Cache{}, fmt.Errorf("%s mshr %#x: %w", c.Name(), e.lineAddr, cerr)
+				return snapshot.Component{}, fmt.Errorf("%s mshr %#x: %w", c.Name(), e.lineAddr, cerr)
 			}
 			m.Waiting = append(m.Waiting, sr)
 		}
 		st.MSHRs = append(st.MSHRs, m)
 	}
-	return st, nil
+	return snapshot.Component{Name: c.Name(), Clk: c.CaptureClock(), Cache: st}, nil
 }
 
-// RestoreState rewinds a freshly Reset cache into a captured state. MSHR
-// entries are rebuilt first so RestoreFillReq can rebind in-flight fills
+// Restore rewinds a freshly Reset cache into a captured state. MSHR
+// entries are rebuilt first so RebuildRequest can rebind in-flight fills
 // that other devices or the event queue still hold.
-func (c *Cache) RestoreState(st snapshot.Cache, resolve Resolver) error {
+func (c *Cache) Restore(comp *snapshot.Component, resolve Resolver) error {
+	st := comp.Cache
+	if st == nil {
+		return fmt.Errorf("mem: %s: component carries no cache state", c.Name())
+	}
 	if len(st.Sets) != len(c.sets) {
 		return fmt.Errorf("mem: %s: image has %d sets, cache has %d", c.Name(), len(st.Sets), len(c.sets))
 	}
@@ -168,7 +167,7 @@ func (c *Cache) RestoreState(st snapshot.Cache, resolve Resolver) error {
 	for _, m := range st.MSHRs {
 		e := &mshrEntry{lineAddr: m.LineAddr}
 		for _, sr := range m.Waiting {
-			r, err := materialize(sr, resolve)
+			r, err := resolve(sr)
 			if err != nil {
 				return err
 			}
@@ -180,36 +179,41 @@ func (c *Cache) RestoreState(st snapshot.Cache, resolve Resolver) error {
 	if err := c.incoming.restore(st.Incoming, resolve); err != nil {
 		return err
 	}
-	c.RestoreClock(st.Clk)
+	c.RestoreClock(comp.Clk)
 	return nil
 }
 
-// RestoreFillReq rebuilds the in-flight fill request for a restored MSHR
-// entry, rebinding its completion to the entry.
-func (c *Cache) RestoreFillReq(lineAddr uint64) (*Request, error) {
-	e, ok := c.mshr[lineAddr]
+// Owner is the tag the cache stamps on its line fills.
+func (c *Cache) Owner() uint8 { return snapshot.OwnerCacheFill }
+
+// RebuildRequest rebuilds the in-flight fill request for a restored MSHR
+// entry (OwnerID = line address), rebinding its completion to the entry.
+func (c *Cache) RebuildRequest(sr snapshot.Req) (*Request, error) {
+	e, ok := c.mshr[sr.OwnerID]
 	if !ok {
-		return nil, fmt.Errorf("mem: %s: fill for line %#x has no restored MSHR entry", c.Name(), lineAddr)
+		return nil, fmt.Errorf("mem: %s: fill for line %#x has no restored MSHR entry", c.Name(), sr.OwnerID)
 	}
-	return c.newFill(e), nil
+	r := c.newFill(e)
+	r.Issued = sim.Tick(sr.Issued)
+	return r, nil
 }
 
-// CaptureState snapshots the DRAM's dynamic state.
-func (d *DRAM) CaptureState() (snapshot.DRAM, error) {
-	st := snapshot.DRAM{
-		Clk:     d.CaptureClock(),
-		OpenRow: append([]uint64(nil), d.openRow...),
-		Budget:  d.budget,
-	}
+// Capture snapshots the DRAM's dynamic state.
+func (d *DRAM) Capture() (snapshot.Component, error) {
+	st := &snapshot.DRAM{OpenRow: append([]uint64(nil), d.openRow...), Budget: d.budget}
 	var err error
 	if st.Queue, err = d.queue.capture(); err != nil {
-		return snapshot.DRAM{}, fmt.Errorf("%s queue: %w", d.Name(), err)
+		return snapshot.Component{}, fmt.Errorf("%s queue: %w", d.Name(), err)
 	}
-	return st, nil
+	return snapshot.Component{Name: d.Name(), Clk: d.CaptureClock(), DRAM: st}, nil
 }
 
-// RestoreState rewinds a freshly Reset DRAM into a captured state.
-func (d *DRAM) RestoreState(st snapshot.DRAM, resolve Resolver) error {
+// Restore rewinds a freshly Reset DRAM into a captured state.
+func (d *DRAM) Restore(c *snapshot.Component, resolve Resolver) error {
+	st := c.DRAM
+	if st == nil {
+		return fmt.Errorf("mem: %s: component carries no DRAM state", d.Name())
+	}
 	if len(st.OpenRow) != len(d.openRow) {
 		return fmt.Errorf("mem: %s: image has %d banks, dram has %d", d.Name(), len(st.OpenRow), len(d.openRow))
 	}
@@ -218,7 +222,7 @@ func (d *DRAM) RestoreState(st snapshot.DRAM, resolve Resolver) error {
 	if err := d.queue.restore(st.Queue, resolve); err != nil {
 		return err
 	}
-	d.RestoreClock(st.Clk)
+	d.RestoreClock(c.Clk)
 	return nil
 }
 

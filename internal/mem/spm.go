@@ -55,16 +55,13 @@ func NewScratchpad(name string, q *sim.EventQueue, clk *sim.ClockDomain,
 	if banks < 1 {
 		banks = 1
 	}
-	if portsPerBank < 1 {
-		portsPerBank = 1
-	}
 	s := &Scratchpad{
 		rng: rng, space: space,
-		LatencyCycles: latency, Banks: banks, PortsPerBank: portsPerBank,
-		WordBytes: 8,
-		queues:    make([]reqQueue, banks),
-		portUsed:  make([]int, banks),
+		Banks: banks, WordBytes: 8,
+		queues:   make([]reqQueue, banks),
+		portUsed: make([]int, banks),
 	}
+	s.Retune(latency, portsPerBank)
 	s.InitClocked(name, q, clk)
 	s.CycleFn = s.cycle
 	g := stats.Child(name)
@@ -81,18 +78,26 @@ func NewScratchpad(name string, q *sim.EventQueue, clk *sim.ClockDomain,
 // Range returns the SPM's address range.
 func (s *Scratchpad) Range() AddrRange { return s.rng }
 
+// Retune applies the per-design-point knobs — access latency and ports per
+// bank (at least one) — at construction and again before each warm run.
+// Geometry (range, bank count) is fixed at construction.
+func (s *Scratchpad) Retune(latency, portsPerBank int) {
+	s.LatencyCycles = latency
+	s.PortsPerBank = max(1, portsPerBank)
+}
+
 // Reset rewinds the SPM for a warm-started run after the owning EventQueue
 // has been Reset: bank queues drop any requests an abandoned run left
-// behind and the clocked state rewinds to idle. Geometry (range, bank
-// count) is fixed at construction; LatencyCycles, PortsPerBank, WordBytes
-// and BlockPartition are plain fields the caller may retune per design
-// point before the next run.
+// behind and the clocked state rewinds to idle.
 func (s *Scratchpad) Reset() {
 	for b := range s.queues {
 		s.queues[b].reset()
 	}
 	s.ResetClocked()
 }
+
+// Busy reports whether any bank still has requests to serve.
+func (s *Scratchpad) Busy() bool { return s.Active() }
 
 // Cacti returns the analytic power/area model for this configuration.
 func (s *Scratchpad) Cacti() hw.CactiSRAM {

@@ -25,18 +25,19 @@ type StreamBuffer struct {
 	onSpace []func()
 
 	// rec, when non-nil, receives an occupancy counter sample per push and
-	// pop (AttachTimeline provides the clock for timestamps).
+	// pop, timestamped off q (the buffer itself is unclocked).
 	rec    timeline.Recorder
 	tlLane timeline.LaneID
-	recQ   *sim.EventQueue
+	q      *sim.EventQueue
 
 	Pushes, Pops, StallsFull, StallsEmpty *sim.Scalar
 	Occupancy                             *sim.Distribution
 }
 
-// NewStreamBuffer creates a FIFO holding up to capacity bytes.
-func NewStreamBuffer(name string, capacity int, stats *sim.Group) *StreamBuffer {
-	s := &StreamBuffer{name: name, capacity: capacity}
+// NewStreamBuffer creates a FIFO holding up to capacity bytes; q only
+// timestamps timeline samples.
+func NewStreamBuffer(name string, q *sim.EventQueue, capacity int, stats *sim.Group) *StreamBuffer {
+	s := &StreamBuffer{name: name, q: q, capacity: capacity}
 	g := stats.Child(name)
 	s.Pushes = g.Scalar("pushes", "bytes pushed")
 	s.Pops = g.Scalar("pops", "bytes popped")
@@ -45,6 +46,9 @@ func NewStreamBuffer(name string, capacity int, stats *sim.Group) *StreamBuffer 
 	s.Occupancy = g.Distribution("occupancy", "bytes resident at each push")
 	return s
 }
+
+// Name returns the buffer name.
+func (s *StreamBuffer) Name() string { return s.name }
 
 // Capacity returns the byte capacity.
 func (s *StreamBuffer) Capacity() int { return s.capacity }
@@ -74,7 +78,7 @@ func (s *StreamBuffer) Push(p []byte) bool {
 	s.Pushes.Inc(float64(len(p)))
 	s.Occupancy.Sample(float64(s.Len()))
 	if s.rec != nil {
-		s.rec.Counter(s.tlLane, uint64(s.recQ.Now()), float64(s.Len()))
+		s.rec.Counter(s.tlLane, uint64(s.q.Now()), float64(s.Len()))
 	}
 	s.wake(&s.onData)
 	return true
@@ -95,7 +99,7 @@ func (s *StreamBuffer) Pop(n int) ([]byte, bool) {
 	}
 	s.Pops.Inc(float64(n))
 	if s.rec != nil {
-		s.rec.Counter(s.tlLane, uint64(s.recQ.Now()), float64(s.Len()))
+		s.rec.Counter(s.tlLane, uint64(s.q.Now()), float64(s.Len()))
 	}
 	s.wake(&s.onSpace)
 	return out, true
@@ -118,11 +122,14 @@ func (s *StreamBuffer) Reset() {
 	s.onSpace = nil
 }
 
-// AttachTimeline binds an occupancy counter lane for the FIFO, using q
-// for timestamps (the buffer itself is unclocked). A nil recorder
-// detaches.
-func (s *StreamBuffer) AttachTimeline(rec timeline.Recorder, q *sim.EventQueue) {
-	s.rec, s.recQ = rec, q
+// Busy reports whether the FIFO buffers data or holds registered wakeups;
+// neither is captured in snapshots.
+func (s *StreamBuffer) Busy() bool { return s.Len() > 0 || len(s.onData)+len(s.onSpace) > 0 }
+
+// AttachTimeline binds an occupancy counter lane for the FIFO. A nil
+// recorder detaches.
+func (s *StreamBuffer) AttachTimeline(rec timeline.Recorder) {
+	s.rec = rec
 	if rec != nil {
 		s.tlLane = rec.Lane(s.name, "occupancy")
 	}

@@ -22,6 +22,9 @@ type Crossbar struct {
 	defaultTarget Port
 
 	queue reqQueue
+	// responses counts routed requests whose wrapped response hop has not
+	// been delivered yet; they live in downstream queues, not here.
+	responses int
 
 	// rec, when non-nil, receives a routing slice per busy cycle.
 	rec    timeline.Recorder
@@ -64,8 +67,14 @@ func (x *Crossbar) SetDefault(p Port) { x.defaultTarget = p }
 // survives — it is structural, not per-run.
 func (x *Crossbar) Reset() {
 	x.queue.reset()
+	x.responses = 0
 	x.ResetClocked()
 }
+
+// Busy reports whether requests are queued for routing or responses still
+// owe their return hop. The hop closures are bound to live requests, which
+// is why the crossbar keeps no snapshot state.
+func (x *Crossbar) Busy() bool { return x.Active() || x.responses > 0 }
 
 // AttachTimeline binds a routing lane (plus the clocked "active" lane)
 // for the crossbar. A nil recorder detaches.
@@ -112,8 +121,9 @@ func (x *Crossbar) cycle() bool {
 		if x.ForwardCycles > 0 && r.Done != nil {
 			orig := r.Done
 			lat := x.Clk.CyclesToTicks(uint64(x.ForwardCycles))
+			x.responses++
 			r.Done = func(rr *Request) {
-				x.Q.Schedule(x.Q.Now()+lat, sim.PriMemResp, func() { orig(rr) })
+				x.Q.Schedule(x.Q.Now()+lat, sim.PriMemResp, func() { x.responses--; orig(rr) })
 			}
 		}
 		if x.ForwardCycles > 0 {

@@ -5,9 +5,10 @@
 // ready watermarks, opStamp arrays), and the statistics tree.
 //
 // The package is a leaf: plain state structs plus an Image envelope, with
-// no simulator imports. The sim/mem/core packages provide Capture*/
-// Restore* methods that exchange these structs; orchestration (what to
-// capture, in which order to restore) lives in the root salam package.
+// no simulator imports. Devices in sim/mem/core exchange these structs
+// through their Capture/Restore methods; the root salam package's system
+// core walks its component registry to fill and land an Image, the same
+// way for a single-accelerator Session and a full SoC.
 //
 // Restoration soundness rests on one property of the event queue: pop
 // order is a total order on (when, pri, seq), independent of heap layout
@@ -31,8 +32,8 @@ const (
 	// KindSession is a single-accelerator Session checkpoint taken
 	// mid-run at an event boundary.
 	KindSession = "session"
-	// KindSoC is a full-SoC checkpoint taken at quiescence (empty event
-	// queue).
+	// KindSoC is a full-SoC checkpoint, typically taken at quiescence
+	// (empty event queue).
 	KindSoC = "soc"
 )
 
@@ -126,10 +127,9 @@ type Req struct {
 	Ev     Event
 }
 
-// SPM is a scratchpad's dynamic state: clocked helper plus per-bank
-// request queues in FIFO order.
+// SPM is a scratchpad's dynamic state: per-bank request queues in FIFO
+// order.
 type SPM struct {
-	Clk    Clock
 	Queues [][]Req
 }
 
@@ -151,7 +151,6 @@ type MSHR struct {
 
 // Cache is a cache's dynamic state.
 type Cache struct {
-	Clk      Clock
 	Sets     [][]CacheLine
 	LRUTick  uint64
 	Incoming []Req
@@ -160,7 +159,6 @@ type Cache struct {
 
 // DRAM is the DRAM model's dynamic state.
 type DRAM struct {
-	Clk     Clock
 	Queue   []Req
 	OpenRow []uint64
 	Budget  int
@@ -214,7 +212,6 @@ type Def struct {
 // Per-cycle transients (issue slots, hazard flags) are dead at event
 // boundaries and are deliberately not part of the format.
 type Accel struct {
-	Clk                             Clock
 	Running, Finished               bool
 	RetBits                         uint64
 	Seq                             uint64
@@ -234,28 +231,41 @@ type Accel struct {
 	LastDef                         []Def
 }
 
-// Component is one generically named SoC component's state; exactly the
-// fields a component kind uses are populated. Quiescent SoC checkpoints
-// use these for everything outside the shared queue/space/stats triple.
+// Component is one registered component's state, named so restore can
+// check it lands in the same device: its clocked helper, plus exactly the
+// fields the component's kind uses (an accelerator node fills Accel and
+// Comm).
 type Component struct {
 	Name  string
-	Clk   *Clock
+	Clk   Clock
 	SPM   *SPM
 	Cache *Cache
 	DRAM  *DRAM
 	Accel *Accel
 	Comm  *Comm
-	// Regs holds MMR-style register files (DMAs).
-	Regs []uint64
-	// Bytes holds raw contents (stream buffer payloads).
-	Bytes []byte
-	// Ints holds small named-by-convention integer state (GIC pending
-	// counts, host cycle counters, and similar).
-	Ints []int64
 }
 
-// Image is one complete checkpoint. Typed fields serve the Session path;
-// Comps serves the quiescent SoC path. Key is an opaque structural
+// Claims counts the pending events this component's state accounts for:
+// its armed clock tick plus the compute-latency arrival of every in-flight
+// dynamic op. Checkpoint sums these against the queue's pending total.
+func (c *Component) Claims() int {
+	n := 0
+	if c.Clk.Armed {
+		n++
+	}
+	if c.Accel != nil {
+		for i := range c.Accel.Ops {
+			if c.Accel.Ops[i].HasEv {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Image is one complete checkpoint: the shared queue/space/stats triple,
+// every snapshot-capable component in registry order, and the requests
+// pending as scheduled completions. Key is an opaque structural
 // fingerprint that restore validates before touching any state.
 type Image struct {
 	Kind  string
@@ -263,17 +273,10 @@ type Image struct {
 	Queue Queue
 	Space []byte
 	Stats Group
-	// Session-path components.
-	Accel *Accel
-	Comm  *Comm
-	SPM   *SPM
-	Cache *Cache
-	DRAM  *DRAM
+	Comps []Component
 	// Sched holds requests pending as scheduled completions, sorted by
 	// event sequence number.
 	Sched []Req
-	// SoC-path components in registration order.
-	Comps []Component
 }
 
 // Binary envelope: magic, format version, payload length, gob payload,
@@ -283,7 +286,7 @@ type Image struct {
 var magic = [4]byte{'G', 'S', 'N', 'P'}
 
 // Version is the image format version. Decode rejects other versions.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // Encode serializes the image. Encoding the same logical state always
 // produces the same bytes: the payload is a gob stream of a fixed struct

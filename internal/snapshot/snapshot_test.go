@@ -13,7 +13,7 @@ func testImage() *Image {
 	return &Image{
 		Kind:  KindSession,
 		Key:   "k:test",
-		Queue: Queue{Now: 12345, Seq: 678, Fired: 600, Pending: 3},
+		Queue: Queue{Now: 12345, Seq: 678, Fired: 600, Pending: 4},
 		Space: []byte{1, 2, 3, 4, 5},
 		Stats: Group{
 			Name: "root",
@@ -25,34 +25,36 @@ func testImage() *Image {
 			},
 			Children: []Group{{Name: "acc", Stats: []Stat{{Kind: StatScalar, Name: "stalls", V: 1}}}},
 		},
-		Accel: &Accel{
-			Clk:     Clock{Active: true, Cycles: 99, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 55}},
-			Running: true,
-			Seq:     17,
-			ArgBits: []uint64{0x1000, 0x2000},
-			OpStamp: []uint64{1, 0, 2},
-			Ops: []DynOp{{
-				StaticID: 4, Seq: 16, Operands: []uint64{8, 9},
-				Pending: []bool{false, true}, WaitingOn: 1,
-				Waiters: []Waiter{{Op: 1, Idx: 0}}, State: 1,
-				HasEv: true, Ev: Event{When: 1100, Pri: 5, Seq: 56},
+		Comps: []Component{
+			{Name: "spm", Clk: Clock{Active: true, Cycles: 98, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 54}}, SPM: &SPM{
+				Queues: [][]Req{{{Owner: OwnerEngine, OwnerID: 16, Addr: 0x40, Size: 8, Issued: 12000}}, nil},
 			}},
-			PendingMem: []int32{0},
-			LastDef:    []Def{{Val: 3, Producer: -1, Live: true}},
+			{Name: "dram", DRAM: &DRAM{Queue: []Req{{Owner: OwnerCacheFill, OwnerID: 0xc0, Addr: 0xc0, Size: 64}}, OpenRow: []uint64{^uint64(0)}, Budget: 32}},
+			{Name: "l1", Cache: &Cache{
+				Sets:    [][]CacheLine{{{Tag: 0x80, Valid: true, Dirty: true, LRU: 7}}},
+				LRUTick: 8,
+				MSHRs:   []MSHR{{LineAddr: 0xc0, Waiting: []Req{{Owner: OwnerEngine, OwnerID: 15, Addr: 0xc8, Size: 8}}}},
+			}},
+			{Name: "acc",
+				Clk: Clock{Active: true, Cycles: 99, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 55}},
+				Accel: &Accel{
+					Running: true,
+					Seq:     17,
+					ArgBits: []uint64{0x1000, 0x2000},
+					OpStamp: []uint64{1, 0, 2},
+					Ops: []DynOp{{
+						StaticID: 4, Seq: 16, Operands: []uint64{8, 9},
+						Pending: []bool{false, true}, WaitingOn: 1,
+						Waiters: []Waiter{{Op: 1, Idx: 0}}, State: 1,
+						HasEv: true, Ev: Event{When: 1100, Pri: 5, Seq: 56},
+					}},
+					PendingMem: []int32{0},
+					LastDef:    []Def{{Val: 3, Producer: -1, Live: true}},
+				},
+				Comm: &Comm{OutReads: 1, MMR: []uint64{0, 1, 2, 3}},
+			},
 		},
-		Comm: &Comm{OutReads: 1, MMR: []uint64{0, 1, 2, 3}},
-		SPM: &SPM{
-			Clk:    Clock{Active: true, Cycles: 98, Armed: true, Tick: Event{When: 1000, Pri: 10, Seq: 54}},
-			Queues: [][]Req{{{Owner: OwnerEngine, OwnerID: 16, Addr: 0x40, Size: 8, Issued: 12000}}, nil},
-		},
-		Cache: &Cache{
-			Sets:    [][]CacheLine{{{Tag: 0x80, Valid: true, Dirty: true, LRU: 7}}},
-			LRUTick: 8,
-			MSHRs:   []MSHR{{LineAddr: 0xc0, Waiting: []Req{{Owner: OwnerEngine, OwnerID: 15, Addr: 0xc8, Size: 8}}}},
-		},
-		DRAM:  &DRAM{Queue: []Req{{Owner: OwnerCacheFill, OwnerID: 0xc0, Addr: 0xc0, Size: 64}}, OpenRow: []uint64{^uint64(0)}, Budget: 32},
 		Sched: []Req{{Owner: OwnerWriteback, Addr: 0x100, Size: 64, Write: true, TimingOnly: true, Sched: true, Ev: Event{When: 1050, Pri: 20, Seq: 50}}},
-		Comps: []Component{{Name: "dma0", Regs: []uint64{1, 2}, Ints: []int64{0, 3}}},
 	}
 }
 
@@ -76,8 +78,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Queue != img.Queue || got.Kind != img.Kind || got.Key != img.Key {
 		t.Fatalf("decoded header mismatch: %+v", got.Queue)
 	}
-	if got.Accel.Ops[0].Ev != img.Accel.Ops[0].Ev {
-		t.Fatalf("dynOp event mismatch: %+v", got.Accel.Ops[0].Ev)
+	if got.Comps[3].Accel.Ops[0].Ev != img.Comps[3].Accel.Ops[0].Ev {
+		t.Fatalf("dynOp event mismatch: %+v", got.Comps[3].Accel.Ops[0].Ev)
+	}
+	// The image's claims — armed clocks, op arrivals, scheduled requests —
+	// are exactly its recorded pending events.
+	claimed := len(got.Sched)
+	for i := range got.Comps {
+		claimed += got.Comps[i].Claims()
+	}
+	if claimed != got.Queue.Pending {
+		t.Fatalf("claims = %d, want %d", claimed, got.Queue.Pending)
 	}
 }
 

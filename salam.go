@@ -347,7 +347,8 @@ type StaticEnvelope struct {
 // k under opts. It mirrors Accelerator.Power exactly: the datapath part
 // comes from the elaborated CDFG, the SPM part from the CACTI model at
 // the same sizing (the workload-sized scratchpad) and the same knob
-// clamping the scratchpad constructor applies.
+// clamping: the run's Scratchpad.Cacti and this function both go through
+// hw.NewCactiSRAM, on top of the ports floor Scratchpad.Retune applies.
 func StaticEnvelopeFor(k *kernels.Kernel, opts RunOpts) (StaticEnvelope, error) {
 	rep, err := AnalyzeKernel(k, opts)
 	if err != nil {
@@ -397,8 +398,8 @@ type StaticEnergy struct {
 // k under opts. It mirrors the run's energy accounting exactly: the
 // datapath floors come from the cached analysis report, the memory-access
 // energies from the CACTI model at the same workload sizing and knob
-// clamping the scratchpad constructor applies (cache-backed runs get a
-// zero memory model, matching MeasuredEnergy's role in Power reports).
+// clamping as StaticEnvelopeFor (cache-backed runs get a zero memory
+// model, matching MeasuredEnergy's role in Power reports).
 func StaticEnergyLowerBound(k *kernels.Kernel, opts RunOpts) (StaticEnergy, error) {
 	rep, err := AnalyzeKernel(k, opts)
 	if err != nil {

@@ -97,12 +97,12 @@ func (s *Session) runSampled(opts RunOpts, stop func() bool) (*Result, error) {
 		return nil, fmt.Errorf("salam: %s: %w", s.k.Name, err)
 	}
 	res := &Result{
-		Stats: s.stats, Instance: s.inst, Space: s.space,
+		Stats: s.sys.Stats, Instance: s.inst, Space: s.sys.Space,
 		Acc: s.acc, SPM: s.spm, Cache: s.cache,
 		Cycles:      est.Cycles,
-		Ticks:       s.q.Now() + sim.Tick(s.acc.Clk.CyclesToTicks(est.Cycles-s.acc.Cycles)),
-		EventsFired: s.q.Fired(),
-		Power:       s.acc.Power(s.spm, s.q.Now()),
+		Ticks:       s.sys.Q.Now() + sim.Tick(s.acc.Clk.CyclesToTicks(est.Cycles-s.acc.Cycles)),
+		EventsFired: s.sys.Q.Fired(),
+		Power:       s.acc.Power(s.spm, s.sys.Q.Now()),
 		Estimated:   true,
 		SampleError: est.ErrorBound,
 		Sample:      &est,

@@ -1,13 +1,14 @@
 package salam
 
 // Warm-start simulation reuse: a Session is a pooled single-accelerator
-// SoC that can run many design points without being reconstructed. The
-// static CDFG comes from the shared elaboration cache; everything dynamic
-// (event queue, stats, backing store, memory devices, accelerator engine
-// state) is rewound through the Reset paths between runs, so a warm run is
-// byte-identical to a cold one — the golden determinism suite holds over
-// both. Campaign workers keep sessions in a SessionPool and re-run the
-// next design point in place instead of reallocating a system per job.
+// system that can run many design points without being reconstructed. It
+// sits on the same system core as an SoC (system.go): the static CDFG comes
+// from the shared elaboration cache; everything dynamic (event queue,
+// stats, backing store, and every registered device) is rewound by the
+// core's one reset between runs, so a warm run is byte-identical to a cold
+// one — the golden determinism suite holds over both. Campaign workers keep
+// sessions in a SessionPool and re-run the next design point in place
+// instead of reallocating a system per job.
 
 import (
 	"context"
@@ -19,7 +20,6 @@ import (
 	"gosalam/internal/hw"
 	"gosalam/internal/mem"
 	"gosalam/internal/sim"
-	"gosalam/internal/timeline"
 	"gosalam/ir"
 	"gosalam/kernels"
 )
@@ -67,16 +67,13 @@ type Session struct {
 	k       *kernels.Kernel
 	profile *hw.Profile
 
-	q         *sim.EventQueue
-	stats     *sim.Group
-	space     *ir.FlatMem
+	sys       system
 	spaceSize int
-	memClk    *sim.ClockDomain
-	comm      *core.CommInterface
 	acc       *core.Accelerator
-	spm       *mem.Scratchpad
-	cache     *mem.Cache
-	dram      *mem.DRAM
+	// spm or cache is the accelerator's memory, by the key's memory kind;
+	// the other stays nil.
+	spm   *mem.Scratchpad
+	cache *mem.Cache
 
 	runs   uint64
 	broken bool
@@ -88,8 +85,8 @@ type Session struct {
 	runDone bool
 	fp      string
 
-	// testHookReconfigure, when set, runs inside begin between the warm
-	// rewind and Reconfigure — test-only, for poisoning regression coverage.
+	// testHookReconfigure, when set, runs inside begin between retuning
+	// and the warm rewind — test-only, for poisoning regression coverage.
 	testHookReconfigure func()
 }
 
@@ -101,8 +98,9 @@ func NewSession(k *kernels.Kernel, opts RunOpts) (*Session, error) {
 	if profile == nil {
 		profile = defaultProfile
 	}
-	// Validate the static configuration up front (and prime the cache).
-	if _, err := core.SharedElab.Elaborate(k.F, profile, opts.Accel.FULimits); err != nil {
+	// Validate the static configuration before building anything.
+	g, err := core.SharedElab.Elaborate(k.F, profile, opts.Accel.FULimits)
+	if err != nil {
 		return nil, err
 	}
 
@@ -111,41 +109,34 @@ func NewSession(k *kernels.Kernel, opts RunOpts) (*Session, error) {
 		k:       k,
 		profile: profile,
 	}
-	s.q = sim.NewEventQueue()
-	s.stats = sim.NewGroup("system")
 	s.spaceSize = spaceSizeFor(k, opts.Seed)
-	s.space = ir.NewFlatMem(0, s.spaceSize)
-	s.memClk = sim.NewClockDomainMHz("memclk", opts.Accel.ClockMHz)
-	s.comm = core.NewCommInterface(k.Name+".comm", s.q, s.memClk, 0xF0000000, len(k.F.Params), s.stats)
+	s.sys = system{
+		Q:     sim.NewEventQueue(),
+		Space: ir.NewFlatMem(0, s.spaceSize),
+		Stats: sim.NewGroup("system"),
+	}
+	q, space, stats := s.sys.Q, s.sys.Space, s.sys.Stats
+	memClk := sim.NewClockDomainMHz("memclk", opts.Accel.ClockMHz)
+	comm := core.NewCommInterface(k.Name+".comm", q, memClk, 0xF0000000, len(k.F.Params), stats)
 
+	rng := mem.AddrRange{Base: 0, Size: uint64(s.spaceSize)}
 	switch opts.Mem {
 	case MemSPM:
-		s.spm = mem.NewScratchpad(k.Name+".spm", s.q, s.memClk, s.space,
-			mem.AddrRange{Base: 0, Size: uint64(s.spaceSize)},
-			opts.SPMLatency, opts.SPMBanks, opts.SPMPortsPer, s.stats)
-		s.comm.AttachLocal(s.spm)
+		s.spm = register(&s.sys, mem.NewScratchpad(k.Name+".spm", q, memClk, space, rng,
+			opts.SPMLatency, opts.SPMBanks, opts.SPMPortsPer, stats))
+		comm.AttachLocal(s.spm)
 	case MemCache:
-		s.dram = mem.NewDRAM(k.Name+".dram", s.q, s.memClk, s.space,
-			mem.AddrRange{Base: 0, Size: uint64(s.spaceSize)}, s.stats)
-		s.cache = mem.NewCache(k.Name+".l1", s.q, s.memClk, s.space,
-			mem.AddrRange{Base: 0, Size: uint64(s.spaceSize)}, s.dram,
-			opts.CacheBytes, opts.CacheLine, opts.CacheAssoc, 2, opts.CacheMSHRs, s.stats)
-		s.comm.AttachGlobal(s.cache)
+		dram := register(&s.sys, mem.NewDRAM(k.Name+".dram", q, memClk, space, rng, stats))
+		s.cache = register(&s.sys, mem.NewCache(k.Name+".l1", q, memClk, space, rng, dram,
+			opts.CacheBytes, opts.CacheLine, opts.CacheAssoc, 2, opts.CacheMSHRs, stats))
+		comm.AttachGlobal(s.cache)
 	default:
 		return nil, fmt.Errorf("salam: unknown memory kind %d", opts.Mem)
 	}
 
-	s.acc = core.NewAccelerator(k.Name, s.q, mustCDFG(k, profile, opts.Accel.FULimits), opts.Accel, s.comm, s.stats)
+	// The accelerator node (engine + comm) is one component.
+	s.acc = register(&s.sys, core.NewAccelerator(k.Name, q, g, opts.Accel, comm, stats))
 	return s, nil
-}
-
-// mustCDFG re-fetches a configuration already validated by the caller.
-func mustCDFG(k *kernels.Kernel, profile *hw.Profile, limits map[FUClass]int) *core.CDFG {
-	g, err := core.SharedElab.Elaborate(k.F, profile, limits)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // Reusable reports whether the session can run the given request: the
@@ -159,9 +150,9 @@ func (s *Session) Reusable(k *kernels.Kernel, opts RunOpts) bool {
 func (s *Session) Runs() uint64 { return s.runs }
 
 // Run simulates one design point in the pooled system. The first run uses
-// the freshly built components; later runs rewind them through the Reset
-// paths first, so results are byte-identical to a cold RunKernel with the
-// same options.
+// the freshly built components; later runs rewind them through the system
+// core's reset first, so results are byte-identical to a cold RunKernel
+// with the same options.
 func (s *Session) Run(opts RunOpts) (*Result, error) {
 	return s.run(opts, nil)
 }
@@ -201,60 +192,44 @@ func (s *Session) begin(opts RunOpts) error {
 	}
 
 	// From here on the session's dynamic state is being rewritten; any
-	// error or panic below — including one raised inside the warm rewind
-	// or Reconfigure — leaves it mid-flight. The session stays unusable
+	// error or panic below — including one raised while retuning or inside
+	// the warm rewind — leaves it mid-flight. The session stays unusable
 	// until the flag is cleared on success; pools drop broken sessions
 	// instead of recycling them.
 	s.broken = true
 
-	if s.runs > 0 {
-		// Warm start: rewind all dynamic state to the cold zero state.
-		s.q.Reset()
-		s.stats.Reset()
-		s.space.Reset()
-		s.comm.Reset()
-		if s.spm != nil {
-			s.spm.Reset()
-		}
-		if s.cache != nil {
-			s.cache.Reset()
-		}
-		if s.dram != nil {
-			s.dram.Reset()
-		}
+	// Apply the design point first — swap in the (shared) CDFG and retune
+	// the knobs the structural key does not pin — so the rewind below arms
+	// every device once, for the new knobs.
+	s.acc.Retune(g, opts.Accel)
+	switch s.key.mem {
+	case MemSPM:
+		s.spm.Retune(opts.SPMLatency, opts.SPMPortsPer)
+	case MemCache:
+		s.cache.Retune(opts.CacheMSHRs)
 	}
-	s.runs++
 	if s.testHookReconfigure != nil {
 		s.testHookReconfigure()
 	}
-
-	// Apply the design point: swap in the (shared) CDFG and retune the
-	// plain-knob fields the structural key does not pin.
-	s.acc.Reconfigure(g, opts.Accel)
-	if s.spm != nil {
-		s.spm.LatencyCycles = opts.SPMLatency
-		if p := opts.SPMPortsPer; p >= 1 {
-			s.spm.PortsPerBank = p
-		} else {
-			s.spm.PortsPerBank = 1
-		}
+	if s.runs > 0 {
+		// Warm start: rewind all dynamic state to the cold zero state.
+		s.sys.reset()
+	} else {
+		// A fresh system is already there, except that the engine is sized
+		// for the constructor's design point.
+		s.acc.Reset()
 	}
-	if s.cache != nil {
-		if m := opts.CacheMSHRs; m >= 1 {
-			s.cache.MSHRs = m
-		} else {
-			s.cache.MSHRs = 1
-		}
-	}
+	s.runs++
 	if opts.ProfileCycles > 0 {
 		s.acc.EnableProfile(opts.ProfileCycles)
 	}
-	// Attach (or detach, when nil) the timeline recorder per run:
-	// Reconfigure rebuilds FU lanes, so attachment must follow it, and a
-	// pooled session must not leak one job's recorder into the next.
-	s.attachTimeline(opts.Timeline)
+	// Attach (or detach, when nil) the timeline recorder per run: the
+	// engine's FU lanes follow the design point, so attachment must come
+	// after it is armed, and a pooled session must not leak one job's
+	// recorder into the next.
+	s.sys.setTimeline(opts.Timeline)
 
-	s.inst = s.k.Setup(s.space, opts.Seed)
+	s.inst = s.k.Setup(s.sys.Space, opts.Seed)
 	s.fp = fingerprintFor(s.k, opts, s.spaceSize)
 	s.runDone = false
 	s.acc.OnDone = func() { s.runDone = true }
@@ -265,26 +240,26 @@ func (s *Session) begin(opts RunOpts) error {
 // to kernel completion, drains trailing events, verifies the output, and
 // assembles the Result.
 func (s *Session) finish(opts RunOpts, stop func() bool) (*Result, error) {
-	res := &Result{Stats: s.stats, Instance: s.inst, Space: s.space, Acc: s.acc, SPM: s.spm, Cache: s.cache}
+	res := &Result{Stats: s.sys.Stats, Instance: s.inst, Space: s.sys.Space, Acc: s.acc, SPM: s.spm, Cache: s.cache}
 
-	s.q.RunWhile(func() bool { return !s.runDone && (stop == nil || !stop()) })
+	s.sys.Q.RunWhile(func() bool { return !s.runDone && (stop == nil || !stop()) })
 	if !s.runDone {
 		if stop != nil && stop() {
 			return nil, fmt.Errorf("salam: %s canceled", s.k.Name)
 		}
 		return nil, fmt.Errorf("salam: %s did not finish (deadlock?)", s.k.Name)
 	}
-	s.q.Run() // drain trailing events (writebacks etc.)
+	s.sys.Q.Run() // drain trailing events (writebacks etc.)
 
 	if !opts.SkipCheck {
-		if err := s.inst.Check(s.space); err != nil {
+		if err := s.inst.Check(s.sys.Space); err != nil {
 			return nil, fmt.Errorf("salam: %s output mismatch: %w", s.k.Name, err)
 		}
 	}
 	s.broken = false
 	res.Cycles = s.acc.LastKernelCycles()
-	res.Ticks = s.q.Now()
-	res.EventsFired = s.q.Fired()
+	res.Ticks = s.sys.Q.Now()
+	res.EventsFired = s.sys.Q.Fired()
 	res.Power = s.acc.Power(res.SPM, res.Ticks)
 	return res, nil
 }
@@ -293,7 +268,7 @@ func (s *Session) finish(opts RunOpts, stop func() bool) (*Result, error) {
 // the kernel completes, stopping at an event boundary. It reports whether
 // the kernel completed.
 func (s *Session) runUntil(pred func() bool) bool {
-	s.q.RunWhile(func() bool { return !s.runDone && !pred() })
+	s.sys.Q.RunWhile(func() bool { return !s.runDone && !pred() })
 	return s.runDone
 }
 
@@ -319,23 +294,6 @@ func (s *Session) Resume(opts RunOpts) (*Result, error) {
 		return nil, fmt.Errorf("salam: session for %s has no run in progress to resume", s.k.Name)
 	}
 	return s.finish(opts, nil)
-}
-
-// attachTimeline binds rec to every traced component of the session's
-// system. A nil rec detaches all lanes, restoring the untraced (and
-// allocation-free) hot paths.
-func (s *Session) attachTimeline(rec timeline.Recorder) {
-	s.q.AttachTimeline(rec)
-	s.acc.AttachTimeline(rec)
-	if s.spm != nil {
-		s.spm.AttachTimeline(rec)
-	}
-	if s.cache != nil {
-		s.cache.AttachTimeline(rec)
-	}
-	if s.dram != nil {
-		s.dram.AttachTimeline(rec)
-	}
 }
 
 // SessionPool keeps idle Sessions keyed by structural configuration so

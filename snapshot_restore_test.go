@@ -10,10 +10,15 @@ package salam_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	salam "gosalam"
+	"gosalam/internal/core"
+	"gosalam/internal/mem"
 	"gosalam/internal/snapshot"
 	"gosalam/kernels"
 )
@@ -207,6 +212,27 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err := s2.Restore(opts, img); err == nil {
 		t.Fatal("restore accepted an image from a different kernel")
 	}
+
+	// A matching fingerprint over malformed contents is refused before the
+	// session is touched: it still runs, and still restores the real image.
+	s3, err := salam.NewSession(k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *img
+	bad.Comps = bad.Comps[1:]
+	if err := s3.Restore(opts, &bad); err == nil {
+		t.Fatal("restore accepted an image missing a component")
+	}
+	if s3.IsBroken() || s3.Runs() != 0 {
+		t.Fatal("a refused image left the session mid-rewrite")
+	}
+	if err := s3.Restore(opts, img); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s3.Resume(opts); err != nil || res.Cycles != straight.Cycles {
+		t.Fatalf("resume after a refused restore: %v", err)
+	}
 }
 
 // TestCheckpointRequiresRunInProgress: checkpointing an idle session is a
@@ -231,61 +257,257 @@ func TestCheckpointRequiresRunInProgress(t *testing.T) {
 
 // TestSoCQuiescentCheckpoint: a quiescent SoC (driver program complete)
 // checkpoints, restores into a freshly built identical topology, and
-// re-checkpoints byte-identically; a busy SoC is refused.
+// re-checkpoints byte-identically — over every warm-start topology, so the
+// LLC's tag state and a cluster's devices are in the image too. A busy SoC
+// is refused by the same claim accounting that guards Session images.
 func TestSoCQuiescentCheckpoint(t *testing.T) {
-	build := func() (*salam.SoC, *salam.AccelNode, uint64, uint64) {
-		soc := salam.NewSoC(16)
-		spm := soc.AddSPM("spm", 32<<10, 2, 4, 4)
-		k := kernels.ReLU(64)
-		node, err := soc.AddAccel("relu", k.F, salam.AccelOpts{SharedSPM: spm})
+	for _, tc := range warmTopologies {
+		t.Run(tc.name, func(t *testing.T) {
+			socA, runA := tc.build(t)
+			runA()
+			imgA, err := socA.Checkpoint()
+			if err != nil {
+				t.Fatalf("quiescent checkpoint: %v", err)
+			}
+			bA, err := imgA.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			socB, _ := tc.build(t)
+			if err := socB.Restore(imgA); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			imgB, err := socB.Checkpoint()
+			if err != nil {
+				t.Fatalf("re-checkpoint: %v", err)
+			}
+			bB, err := imgB.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bA, bB) {
+				t.Fatal("SoC checkpoint -> restore -> checkpoint image drifted")
+			}
+			// Restored physical memory carries the computed results.
+			if !bytes.Equal(socA.Space.Data, socB.Space.Data) {
+				t.Fatal("restored physical memory differs from the checkpointed SoC's")
+			}
+		})
+	}
+
+	// The LLC's warmed tags are part of the image.
+	soc, run := llcClusterSoC(t)
+	run()
+	img, err := soc.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := 0
+	for _, c := range img.Comps {
+		if c.Name != "llc" {
+			continue
+		}
+		for _, set := range c.Cache.Sets {
+			for _, ln := range set {
+				if ln.Valid {
+					valid++
+				}
+			}
+		}
+	}
+	if valid == 0 {
+		t.Fatal("image carries no valid LLC line after a run through the LLC")
+	}
+
+	// A busy SoC is refused: a device that keeps no snapshot state must
+	// have none to lose. A request queued in the crossbar ...
+	soc.Reset()
+	soc.Xbar.Send(mem.NewRead(0, 8, nil))
+	if _, err := soc.Checkpoint(); err == nil || !strings.Contains(err.Error(), "xbar is busy") {
+		t.Fatalf("checkpoint with a request in the crossbar: %v", err)
+	}
+	// ... a host blocked on an interrupt, which holds no event at all,
+	// only a waiter in the GIC and program state no image can carry ...
+	soc.Reset()
+	soc.Host.Run([]salam.DriverOp{salam.WaitIRQ{Line: 0}}, nil)
+	soc.Run()
+	if _, err := soc.Checkpoint(); err == nil || !strings.Contains(err.Error(), "gic is busy") || !soc.Host.Busy() {
+		t.Fatalf("checkpoint with a host program in flight: %v", err)
+	}
+	// ... and an interrupt latched with nobody waiting for it yet.
+	soc.Reset()
+	soc.GIC.Raise(0)
+	if _, err := soc.Checkpoint(); err == nil || !strings.Contains(err.Error(), "gic is busy") {
+		t.Fatalf("checkpoint with a latched interrupt: %v", err)
+	}
+
+	// Restore validates the image before it touches the target: a wrong
+	// kind, or a matching topology key over malformed contents, leaves the
+	// SoC exactly as it was.
+	soc.Reset()
+	run()
+	before, want := *img, socDump(soc)
+	for name, bad := range map[string]func(*snapshot.Image){
+		"session image":    func(i *snapshot.Image) { i.Kind = snapshot.KindSession },
+		"short memory":     func(i *snapshot.Image) { i.Space = i.Space[:len(i.Space)-1] },
+		"missing device":   func(i *snapshot.Image) { i.Comps = i.Comps[1:] },
+		"misnamed device":  func(i *snapshot.Image) { i.Comps = append([]snapshot.Component{{Name: "nosuch"}}, i.Comps[1:]...) },
+		"foreign topology": func(i *snapshot.Image) { i.Key += "|extra" },
+	} {
+		broken := before
+		bad(&broken)
+		if err := soc.Restore(&broken); err == nil {
+			t.Fatalf("SoC restore accepted an image with a %s", name)
+		}
+		if got := socDump(soc); got != want {
+			t.Fatalf("rejected restore (%s) changed the SoC", name)
+		}
+	}
+}
+
+// socDump fingerprints an SoC's observable state: time plus the full
+// statistics tree.
+func socDump(soc *salam.SoC) string {
+	var sb strings.Builder
+	soc.Stats.Dump(&sb)
+	return fmt.Sprintf("%d\n%s", soc.Q.Now(), sb.String())
+}
+
+// TestRestoreSoCMidFlight: the invariant that guards Session images is the
+// only gate on an SoC too. Accelerators started without the host are probed
+// with a checkpoint at every engine cycle of the kernel; each probe must
+// either be refused or resume in a freshly built SoC byte-identically to
+// the straight run — an accepted image never drops state.
+//
+//   - spm: running out of a scratchpad every pending event is claimed, so
+//     the SoC checkpoints mid-kernel.
+//   - stream: the input arrives through a stream window from a pre-filled
+//     FIFO, whose bytes no image carries — refused until it drains (the
+//     regression for dropping the quiescent-SoC gate).
+//   - dram: loads and stores cross the global crossbar, whose return-hop
+//     closures no image carries either.
+//   - two engines: owner tags are ambiguous, so in-flight points are refused.
+func TestRestoreSoCMidFlight(t *testing.T) {
+	const n = 64
+	type wiring func(soc *salam.SoC, i int, fill bool) (*salam.AccelNode, []uint64)
+	input := func(i int) []byte {
+		in := make([]byte, n*8)
+		for j := 0; j < n; j++ {
+			binary.LittleEndian.PutUint64(in[j*8:], math.Float64bits(float64((i*n+j)%7)-3))
+		}
+		return in
+	}
+	addAccel := func(soc *salam.SoC, i int, o salam.AccelOpts) *salam.AccelNode {
+		node, err := soc.AddAccel("relu"+string(rune('0'+i)), kernels.ReLU(n).F, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := spm.Range().Base
-		in, out := base, base+64*8
-		for i := 0; i < 64; i++ {
-			soc.Space.WriteF64(in+uint64(i*8), float64(i%7)-3)
+		return node
+	}
+	spm := func(soc *salam.SoC, i int, fill bool) (*salam.AccelNode, []uint64) {
+		node := addAccel(soc, i, salam.AccelOpts{SPMBytes: 2 * n * 8})
+		base := node.SPM.Range().Base
+		if fill {
+			copy(soc.Space.Data[base:], input(i))
 		}
-		return soc, node, in, out
+		return node, []uint64{base, base + n*8}
+	}
+	stream := func(soc *salam.SoC, i int, fill bool) (*salam.AccelNode, []uint64) {
+		node := addAccel(soc, i, salam.AccelOpts{SPMBytes: n * 8})
+		fifo := mem.NewStreamBuffer("fifo", soc.Q, n*8, soc.Stats)
+		win := soc.StreamWindow(node, fifo, core.StreamIn)
+		if fill && !fifo.Push(input(i)) {
+			t.Fatal("pre-fill did not fit the FIFO")
+		}
+		return node, []uint64{win, node.SPM.Range().Base}
+	}
+	dram := func(soc *salam.SoC, i int, fill bool) (*salam.AccelNode, []uint64) {
+		node := addAccel(soc, i, salam.AccelOpts{Global: true})
+		if fill {
+			copy(soc.Space.Data[4096:], input(i))
+		}
+		return node, []uint64{4096, 4096 + n*8}
 	}
 
-	socA, nodeA, inA, outA := build()
-	prog := append(salam.StartAccel(nodeA.MMRBase, []uint64{inA, outA}, true),
-		salam.WaitIRQ{Line: nodeA.IRQLine})
-	if _, err := socA.RunHost(prog); err != nil {
-		t.Fatal(err)
-	}
-	socA.Run()
-	imgA, err := socA.Checkpoint()
-	if err != nil {
-		t.Fatalf("quiescent checkpoint: %v", err)
-	}
-	bA, err := imgA.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name        string
+		wire        wiring
+		accels      int
+		wantResumed bool // some in-flight probe must be accepted
+		wantRefused bool // some in-flight probe must be refused
+	}{
+		{"spm", spm, 1, true, false},
+		{"stream", stream, 1, false, true},
+		{"dram", dram, 1, false, true},
+		{"two engines", spm, 2, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// build wires the SoC; start also loads the input and launches.
+			build := func(start bool) (*salam.SoC, []*salam.AccelNode, func() bool) {
+				soc := salam.NewSoC(1)
+				var nodes []*salam.AccelNode
+				for i := 0; i < tc.accels; i++ {
+					node, args := tc.wire(soc, i, start)
+					if start {
+						node.Acc.Start(args)
+					}
+					nodes = append(nodes, node)
+				}
+				busy := func() bool {
+					for _, node := range nodes {
+						if node.Acc.Busy() {
+							return true
+						}
+					}
+					return false
+				}
+				return soc, nodes, busy
+			}
+			// A run that lost state may never finish; give up well past
+			// the straight run's end instead of spinning.
+			limit := ^uint64(0)
+			finish := func(soc *salam.SoC, busy func() bool) string {
+				soc.Q.RunWhile(func() bool { return busy() && uint64(soc.Q.Now()) < limit })
+				if busy() {
+					return "livelocked"
+				}
+				soc.Run()
+				return socDump(soc)
+			}
+			straight, _, sbusy := build(true)
+			want := finish(straight, sbusy)
+			limit = 4 * uint64(straight.Q.Now())
 
-	socB, _, _, _ := build()
-	if err := socB.Restore(imgA); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	imgB, err := socB.Checkpoint()
-	if err != nil {
-		t.Fatalf("re-checkpoint: %v", err)
-	}
-	bB, err := imgB.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bA, bB) {
-		t.Fatal("SoC checkpoint -> restore -> checkpoint image drifted")
-	}
-	// Restored physical memory carries the computed results.
-	for i := 0; i < 64; i++ {
-		want := socA.Space.ReadF64(outA + uint64(i*8))
-		if got := socB.Space.ReadF64(outA + uint64(i*8)); got != want {
-			t.Fatalf("restored out[%d] = %g, want %g", i, got, want)
-		}
+			refused, resumed := 0, 0
+			for cycle := uint64(1); ; cycle++ {
+				paused, nodes, pbusy := build(true)
+				paused.Q.RunWhile(func() bool { return pbusy() && nodes[0].Acc.Cycles < cycle })
+				if !pbusy() {
+					break
+				}
+				img, err := paused.Checkpoint()
+				if err != nil {
+					refused++
+					continue
+				}
+				fresh, _, fbusy := build(false)
+				if err := fresh.Restore(img); err != nil {
+					t.Fatalf("cycle %d: restore: %v", cycle, err)
+				}
+				if got := finish(fresh, fbusy); got != want {
+					t.Fatalf("cycle %d: checkpoint was accepted but the restored run diverged from the straight run", cycle)
+				}
+				resumed++
+			}
+			t.Logf("%d probe points refused, %d resumed byte-identically", refused, resumed)
+			if tc.wantResumed && resumed == 0 {
+				t.Fatal("no mid-flight checkpoint was accepted")
+			}
+			if tc.wantRefused && refused == 0 {
+				t.Fatal("no mid-flight checkpoint was refused")
+			}
+		})
 	}
 }
 

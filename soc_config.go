@@ -208,15 +208,9 @@ func BuildFromConfig(c *soccfg.Config) (*ConfiguredSoC, error) {
 		StreamIn:  map[string]uint64{},
 	}
 
-	def := func(v, d int) int {
-		if v > 0 {
-			return v
-		}
-		return d
-	}
 	for _, m := range s.SPMs {
 		out.SPMs[m.Name] = soc.AddSPM(m.Name, m.Bytes,
-			def(m.Latency, 2), def(m.Banks, 4), def(m.Ports, 4))
+			orDefault(m.Latency, 2), orDefault(m.Banks, 4), orDefault(m.Ports, 4))
 	}
 	for _, cl := range s.Clusters {
 		out.Clusters[cl.Name] = soc.NewCluster(cl.Name, ClusterOpts{
@@ -280,7 +274,7 @@ func BuildFromConfig(c *soccfg.Config) (*ConfiguredSoC, error) {
 		out.StreamIn[st.Name] = inW
 	}
 	if s.LLC != nil {
-		soc.EnableLLC(s.LLC.Bytes, def(s.LLC.Line, 64), def(s.LLC.Assoc, 4))
+		soc.EnableLLC(s.LLC.Bytes, orDefault(s.LLC.Line, 64), orDefault(s.LLC.Assoc, 4))
 	}
 	return out, nil
 }

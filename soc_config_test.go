@@ -114,6 +114,24 @@ func TestConfigFlatMatchesGoBuilt(t *testing.T) {
 // must reproduce the committed "cnn-cluster" fingerprint — MMR bases, IRQ
 // lines, and the whole event schedule included.
 func TestConfigClusterMatchesGolden(t *testing.T) {
+	_, run := clusterConfigSoC(t)
+	fp := run()
+	got := goldenPoint{Cycles: fp[0], Ticks: fp[1], EventsFired: fp[2]}
+	wantFP, ok := goldenEntries(t)["cnn-cluster"]
+	if !ok {
+		t.Fatal("golden file has no cnn-cluster entry")
+	}
+	if got != wantFP {
+		t.Fatalf("config-built SoC diverged from golden: got %+v want %+v", got, wantFP)
+	}
+}
+
+// clusterConfigSoC builds configs/cnn_cluster.json and returns the SoC
+// plus a run function that stages the inputs, drives conv → relu → pool
+// from the host, checks the result, and fingerprints the completed run
+// (driver end tick, final tick, events fired).
+func clusterConfigSoC(t *testing.T) (*salam.SoC, func() [3]uint64) {
+	t.Helper()
 	c, err := soccfg.Load(filepath.Join("configs", "cnn_cluster.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -148,12 +166,6 @@ func TestConfigClusterMatchesGolden(t *testing.T) {
 	convA := wA + 128
 	reluA := convA + uint64(convH*convW*8)
 	poolA := reluA + uint64(convH*convW*8)
-	for i, v := range img {
-		soc.Space.WriteF64(imgA+uint64(i*8), v)
-	}
-	for i, v := range weights {
-		soc.Space.WriteF64(wA+uint64(i*8), v)
-	}
 
 	var prog []salam.DriverOp
 	prog = append(prog, salam.StartAccel(conv.MMRBase, []uint64{imgA, wA, convA}, true)...)
@@ -163,29 +175,27 @@ func TestConfigClusterMatchesGolden(t *testing.T) {
 	prog = append(prog, salam.StartAccel(pool.MMRBase, []uint64{reluA, poolA}, true)...)
 	prog = append(prog, salam.WaitIRQ{Line: pool.IRQLine})
 
-	end, err := soc.RunHost(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soc.Run()
-	for i, w := range want {
-		got := soc.Space.ReadF64(poolA + uint64(i*8))
-		if diff := got - w; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("pool[%d] = %g, want %g", i, got, w)
+	run := func() [3]uint64 {
+		for i, v := range img {
+			soc.Space.WriteF64(imgA+uint64(i*8), v)
 		}
+		for i, v := range weights {
+			soc.Space.WriteF64(wA+uint64(i*8), v)
+		}
+		end, err := soc.RunHost(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		soc.Run()
+		for i, w := range want {
+			got := soc.Space.ReadF64(poolA + uint64(i*8))
+			if diff := got - w; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("pool[%d] = %g, want %g", i, got, w)
+			}
+		}
+		return [3]uint64{uint64(end), uint64(soc.Q.Now()), soc.Q.Fired()}
 	}
-	got := goldenPoint{
-		Cycles:      uint64(end),
-		Ticks:       uint64(soc.Q.Now()),
-		EventsFired: soc.Q.Fired(),
-	}
-	wantFP, ok := goldenEntries(t)["cnn-cluster"]
-	if !ok {
-		t.Fatal("golden file has no cnn-cluster entry")
-	}
-	if got != wantFP {
-		t.Fatalf("config-built SoC diverged from golden: got %+v want %+v", got, wantFP)
-	}
+	return soc, run
 }
 
 // streamDriver programs the conv→relu→pool stream pipeline on an

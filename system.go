@@ -43,14 +43,110 @@ func StartDMA(mmrBase uint64, src, dst, n uint64, burst int, irqEnable bool) []D
 	return cpu.StartDMA(mmrBase, src, dst, n, burst, irqEnable)
 }
 
-// SoC is a full system: host CPU, interrupt controller, global crossbar,
-// DRAM, and any number of accelerators, DMAs, scratchpads and stream
-// links — the Fig. 1 architecture. Components allocate MMR ranges and
-// interrupt lines automatically.
-type SoC struct {
+// component is the one contract every device of a system implements —
+// scratchpads, caches, DRAM, crossbars, DMAs, stream buffers, accelerator
+// nodes (engine + communications interface), the GIC and the host — so the
+// system core can rewind, trace and checkpoint a system without knowing
+// what it is made of.
+type component interface {
+	// Name identifies the device; it names the device's stats group and
+	// its component in checkpoint images.
+	Name() string
+	// Reset rewinds per-run dynamic state after the event queue has been
+	// Reset. Structural wiring (topology, address maps, IRQ lines) survives.
+	Reset()
+	// AttachTimeline binds the device's lanes to rec; nil detaches.
+	AttachTimeline(rec timeline.Recorder)
+	// Busy reports whether the device holds any dynamic state a Reset
+	// would drop: queued or in-flight work, buffered data, latched lines,
+	// registered wakeups. A checkpoint refuses a busy device that is not a
+	// snapshotter, since restore could not bring that state back.
+	Busy() bool
+}
+
+// snapshotter is the second tier of the contract, implemented by devices
+// whose state persists across events: Capture records it (claiming the
+// device's pending events), Restore lands it in a freshly Reset device,
+// rebuilding queued requests through the resolver.
+type snapshotter interface {
+	component
+	Capture() (snapshot.Component, error)
+	Restore(*snapshot.Component, mem.Resolver) error
+}
+
+// requestOwner is the third tier: a snapshotter that creates memory
+// requests declares the owner tag it stamps on them, and rebuilds one from
+// its captured form — rebinding the completion callback to its restored
+// state — wherever restore finds it: another device's queue or the event
+// queue.
+type requestOwner interface {
+	snapshotter
+	Owner() uint8
+	RebuildRequest(snapshot.Req) (*mem.Request, error)
+}
+
+// system is the core both Session and SoC are built on: the event queue,
+// physical memory, the statistics root, and the ordered registry of every
+// device constructed into the system. Reset, timeline attachment,
+// checkpoint and restore (snapshot.go) each exist once, as a walk over the
+// registry.
+type system struct {
 	Q     *sim.EventQueue
 	Space *ir.FlatMem
 	Stats *sim.Group
+
+	// comps lists every device in construction order (deterministic).
+	comps []component
+	// tl is the attached timeline recorder (nil = tracing off).
+	tl timeline.Recorder
+}
+
+// register adds a freshly constructed device to the registry and returns
+// it, so the constructor call is wrapped on the line that builds it.
+// Registration is by identity — a stream buffer shared by a link and a
+// stream DMA registers once — and binds an already-attached recorder, so
+// construction order relative to setTimeline does not matter.
+func register[T component](s *system, c T) T {
+	for _, have := range s.comps {
+		if have == component(c) {
+			return c
+		}
+	}
+	s.comps = append(s.comps, c)
+	if s.tl != nil {
+		c.AttachTimeline(s.tl)
+	}
+	return c
+}
+
+// reset rewinds the system for a warm-started run: the event queue, stats,
+// backing store, and every registered device return to their cold state.
+func (s *system) reset() {
+	s.Q.Reset()
+	s.Stats.Reset()
+	s.Space.Reset()
+	for _, c := range s.comps {
+		c.Reset()
+	}
+}
+
+// setTimeline attaches rec to the event queue and every registered device;
+// nil detaches all lanes, restoring the untraced (allocation-free) paths.
+func (s *system) setTimeline(rec timeline.Recorder) {
+	s.tl = rec
+	s.Q.AttachTimeline(rec)
+	for _, c := range s.comps {
+		c.AttachTimeline(rec)
+	}
+}
+
+// SoC is a full system: host CPU, interrupt controller, global crossbar,
+// DRAM, and any number of accelerators, DMAs, scratchpads and stream
+// links — the Fig. 1 architecture. Components allocate MMR ranges and
+// interrupt lines automatically. The embedded system core provides the
+// event queue Q, the physical memory Space and the statistics root Stats.
+type SoC struct {
+	system
 
 	SysClk *sim.ClockDomain
 	AccClk float64 // accelerator clock MHz default
@@ -65,34 +161,6 @@ type SoC struct {
 	spmEnd  uint64
 	nextIRQ int
 	nextWin uint64
-
-	// tl is the attached timeline recorder (nil = tracing off); attachers
-	// rebind every component when it changes, so SetTimeline works whether
-	// it is called before or after components are added.
-	tl        timeline.Recorder
-	attachers []func(timeline.Recorder)
-	// resetters rewind per-component dynamic state for SoC.Reset, in
-	// registration order (deterministic). Structural wiring is not undone.
-	resetters []func()
-	// bufs tracks stream buffers already adopted (reset + timeline), so a
-	// buffer shared between a link and a DMA registers once.
-	bufs []*mem.StreamBuffer
-	// snaps lists components with snapshot support, in registration order;
-	// SoC.Checkpoint captures them and SoC.Restore replays them.
-	snaps []socSnap
-}
-
-// socSnap is one snapshot-registered component of an SoC.
-type socSnap struct {
-	name    string
-	capture func() (snapshot.Component, error)
-	restore func(*snapshot.Component) error
-}
-
-// adoptSnap registers a component's checkpoint/restore pair. Registration
-// order is part of the image topology key.
-func (s *SoC) adoptSnap(name string, capture func() (snapshot.Component, error), restore func(*snapshot.Component) error) {
-	s.snaps = append(s.snaps, socSnap{name: name, capture: capture, restore: restore})
 }
 
 // AccelNode bundles one accelerator with its system plumbing.
@@ -114,74 +182,27 @@ func NewSoCXbar(dramMB, xbarWidth int) *SoC {
 	dramBytes := uint64(dramMB) << 20
 	spmArena := uint64(8) << 20
 	s := &SoC{
-		Q:      sim.NewEventQueue(),
-		Stats:  sim.NewGroup("soc"),
+		system: system{
+			Q:     sim.NewEventQueue(),
+			Space: ir.NewFlatMem(0, int(dramBytes+spmArena)),
+			Stats: sim.NewGroup("soc"),
+		},
 		SysClk: sim.NewClockDomainMHz("sys", 1000),
 		AccClk: 100,
 	}
-	s.Space = ir.NewFlatMem(0, int(dramBytes+spmArena))
 	s.nextSPM = dramBytes
 	s.spmEnd = dramBytes + spmArena
 	s.nextMMR = 0xF0000000
 	s.nextWin = 0xE0000000
 
-	if xbarWidth <= 0 {
-		xbarWidth = 8
-	}
-	s.Xbar = mem.NewCrossbar("xbar", s.Q, s.SysClk, 1, xbarWidth, s.Stats)
-	s.DRAM = mem.NewDRAM("dram", s.Q, s.SysClk, s.Space,
-		mem.AddrRange{Base: 0, Size: dramBytes}, s.Stats)
+	s.Xbar = register(&s.system, mem.NewCrossbar("xbar", s.Q, s.SysClk, 1, orDefault(xbarWidth, 8), s.Stats))
+	s.DRAM = register(&s.system, mem.NewDRAM("dram", s.Q, s.SysClk, s.Space,
+		mem.AddrRange{Base: 0, Size: dramBytes}, s.Stats))
 	s.Xbar.SetDefault(s.DRAM)
-	s.GIC = cpu.NewGIC(s.Stats)
+	s.GIC = register(&s.system, cpu.NewGIC(s.Stats))
 	hostClk := sim.NewClockDomainMHz("host", 1200)
-	s.Host = cpu.NewHost("host", s.Q, hostClk, s.Xbar, s.GIC, s.Stats)
-	s.adopt(s.Xbar.Reset, s.Xbar.AttachTimeline)
-	s.adopt(s.DRAM.Reset, s.DRAM.AttachTimeline)
-	s.adoptSnap("dram",
-		func() (snapshot.Component, error) {
-			st, err := s.DRAM.CaptureState()
-			if err != nil {
-				return snapshot.Component{}, err
-			}
-			return snapshot.Component{Name: "dram", DRAM: &st}, nil
-		},
-		func(c *snapshot.Component) error {
-			if c.DRAM == nil {
-				return fmt.Errorf("component carries no DRAM state")
-			}
-			return s.DRAM.RestoreState(*c.DRAM, rejectInflight)
-		})
-	s.adopt(s.GIC.Reset, nil)
-	s.adopt(s.Host.Reset, nil)
-	s.adopt(nil, s.Q.AttachTimeline)
+	s.Host = register(&s.system, cpu.NewHost("host", s.Q, hostClk, s.Xbar, s.GIC, s.Stats))
 	return s
-}
-
-// adopt registers a component's per-run reset and timeline hook; either
-// may be nil. The attacher fires immediately when a recorder is already
-// set, so Add* order relative to SetTimeline does not matter.
-func (s *SoC) adopt(reset func(), attach func(timeline.Recorder)) {
-	if reset != nil {
-		s.resetters = append(s.resetters, reset)
-	}
-	if attach != nil {
-		s.attachers = append(s.attachers, attach)
-		if s.tl != nil {
-			attach(s.tl)
-		}
-	}
-}
-
-// adoptBuffer registers a stream buffer once, even when it is shared
-// between a StreamLink and a stream DMA.
-func (s *SoC) adoptBuffer(buf *mem.StreamBuffer) {
-	for _, b := range s.bufs {
-		if b == buf {
-			return
-		}
-	}
-	s.bufs = append(s.bufs, buf)
-	s.adopt(buf.Reset, func(rec timeline.Recorder) { buf.AttachTimeline(rec, s.Q) })
 }
 
 // SetTimeline attaches a timeline recorder to every component of the SoC
@@ -191,27 +212,15 @@ func (s *SoC) adoptBuffer(buf *mem.StreamBuffer) {
 // byte-identical with it on or off. Attach a fresh recorder per run; lane
 // registration is cumulative, so reusing one across SoC.Reset appends a
 // second run to the same trace.
-func (s *SoC) SetTimeline(rec timeline.Recorder) {
-	s.tl = rec
-	for _, attach := range s.attachers {
-		attach(rec)
-	}
-}
+func (s *SoC) SetTimeline(rec timeline.Recorder) { s.setTimeline(rec) }
 
 // Reset rewinds the SoC for a warm-started run: the event queue, stats,
-// backing store, and every registered component return to their cold
-// state while structural wiring (topology, address maps, IRQ lines)
-// survives. Accelerators are re-armed through Reconfigure with the
-// configuration they were added with. After Reset the system replays a
-// driver program byte-identically to a freshly built SoC.
-func (s *SoC) Reset() {
-	s.Q.Reset()
-	s.Stats.Reset()
-	s.Space.Reset()
-	for _, fn := range s.resetters {
-		fn()
-	}
-}
+// backing store, and every device return to their cold state while
+// structural wiring (topology, address maps, IRQ lines) survives.
+// Accelerators are re-armed with the configuration they were added with.
+// After Reset the system replays a driver program byte-identically to a
+// freshly built SoC.
+func (s *SoC) Reset() { s.reset() }
 
 // AllocSPMRange carves an address range from the scratchpad arena.
 func (s *SoC) AllocSPMRange(bytes uint64) mem.AddrRange {
@@ -227,24 +236,9 @@ func (s *SoC) AllocSPMRange(bytes uint64) mem.AddrRange {
 // (for DMA/host staging) and attachable as accelerator local memory.
 func (s *SoC) AddSPM(name string, bytes uint64, latency, banks, ports int) *mem.Scratchpad {
 	accClk := sim.NewClockDomainMHz(name+".clk", s.AccClk)
-	spm := mem.NewScratchpad(name, s.Q, accClk, s.Space,
-		s.AllocSPMRange(bytes), latency, banks, ports, s.Stats)
+	spm := register(&s.system, mem.NewScratchpad(name, s.Q, accClk, s.Space,
+		s.AllocSPMRange(bytes), latency, banks, ports, s.Stats))
 	s.Xbar.Attach(spm)
-	s.adopt(spm.Reset, spm.AttachTimeline)
-	s.adoptSnap(name,
-		func() (snapshot.Component, error) {
-			st, err := spm.CaptureState()
-			if err != nil {
-				return snapshot.Component{}, err
-			}
-			return snapshot.Component{Name: name, SPM: &st}, nil
-		},
-		func(c *snapshot.Component) error {
-			if c.SPM == nil {
-				return fmt.Errorf("component carries no scratchpad state")
-			}
-			return spm.RestoreState(*c.SPM, rejectInflight)
-		})
 	return spm
 }
 
@@ -254,22 +248,21 @@ func (s *SoC) AddSPM(name string, bytes uint64, latency, banks, ports int) *mem.
 // data mover; adjust BlockDMA.BytesPerCycle to retune.
 func (s *SoC) AddBlockDMA(name string) (*mem.BlockDMA, int) {
 	dmaClk := sim.NewClockDomainMHz(name+".clk", 200)
-	dma := mem.NewBlockDMA(name, s.Q, dmaClk, s.allocMMR(mem.DMANumRegs), s.Xbar, s.Stats)
+	dma := register(&s.system, mem.NewBlockDMA(name, s.Q, dmaClk, s.allocMMR(mem.DMANumRegs), s.Xbar, s.Stats))
 	dma.BytesPerCycle = 4
 	s.Xbar.Attach(dma.MMR)
 	line := s.allocIRQ()
 	dma.IRQ = s.GIC.Line(line)
-	s.adopt(dma.Reset, dma.AttachTimeline)
 	return dma, line
 }
 
-// AddStreamDMA creates a stream DMA bridging the crossbar and buf.
+// AddStreamDMA creates a stream DMA bridging the crossbar and buf (which
+// joins the system here unless a StreamLink already registered it).
 func (s *SoC) AddStreamDMA(name string, buf *mem.StreamBuffer) (*mem.StreamDMA, int) {
-	sd := mem.NewStreamDMA(name, s.Q, s.SysClk, s.Xbar, buf, s.Stats)
+	sd := register(&s.system, mem.NewStreamDMA(name, s.Q, s.SysClk, s.Xbar, buf, s.Stats))
+	register(&s.system, buf)
 	line := s.allocIRQ()
 	sd.IRQ = s.GIC.Line(line)
-	s.adopt(sd.Reset, sd.AttachTimeline)
-	s.adoptBuffer(buf)
 	return sd, line
 }
 
@@ -311,17 +304,8 @@ func (s *SoC) AddAccel(name string, f *ir.Function, o AccelOpts) (*AccelNode, er
 		comm.AttachLocal(o.SharedSPM)
 		node.SPM = o.SharedSPM
 	case o.SPMBytes > 0:
-		lat, banks, ports := o.SPMLatency, o.SPMBanks, o.SPMPorts
-		if lat <= 0 {
-			lat = 2
-		}
-		if banks <= 0 {
-			banks = 4
-		}
-		if ports <= 0 {
-			ports = 2
-		}
-		node.SPM = s.AddSPM(name+".spm", o.SPMBytes, lat, banks, ports)
+		node.SPM = s.AddSPM(name+".spm", o.SPMBytes,
+			orDefault(o.SPMLatency, 2), orDefault(o.SPMBanks, 4), orDefault(o.SPMPorts, 2))
 		comm.AttachLocal(node.SPM)
 	}
 	if o.Global || node.SPM == nil {
@@ -330,33 +314,7 @@ func (s *SoC) AddAccel(name string, f *ir.Function, o AccelOpts) (*AccelNode, er
 
 	node.IRQLine = s.allocIRQ()
 	comm.IRQ = s.GIC.Line(node.IRQLine)
-	node.Acc = core.NewAccelerator(name, s.Q, g, o.Cfg, comm, s.Stats)
-	// Reset re-arms the engine with the configuration it was added with:
-	// Reconfigure rewinds all engine state against the same shared CDFG
-	// (the timeline attachment survives it — same CDFG, same FU lanes).
-	cfg := o.Cfg
-	s.adopt(func() {
-		comm.Reset()
-		node.Acc.Reconfigure(g, cfg)
-	}, node.Acc.AttachTimeline)
-	s.adoptSnap(name,
-		func() (snapshot.Component, error) {
-			ast, err := node.Acc.CaptureState()
-			if err != nil {
-				return snapshot.Component{}, err
-			}
-			cst := comm.CaptureState()
-			return snapshot.Component{Name: name, Accel: &ast, Comm: &cst}, nil
-		},
-		func(c *snapshot.Component) error {
-			if c.Accel == nil || c.Comm == nil {
-				return fmt.Errorf("component carries no engine state")
-			}
-			if err := node.Acc.RestoreState(*c.Accel); err != nil {
-				return err
-			}
-			return comm.RestoreState(*c.Comm)
-		})
+	node.Acc = register(&s.system, core.NewAccelerator(name, s.Q, g, o.Cfg, comm, s.Stats))
 	return node, nil
 }
 
@@ -365,8 +323,7 @@ func (s *SoC) AddAccel(name string, f *ir.Function, o AccelOpts) (*AccelNode, er
 // the window addresses the two kernels should use as their buffer
 // pointers.
 func (s *SoC) StreamLink(name string, producer, consumer *AccelNode, bufBytes int) (outWin, inWin uint64) {
-	buf := mem.NewStreamBuffer(name, bufBytes, s.Stats)
-	s.adoptBuffer(buf)
+	buf := register(&s.system, mem.NewStreamBuffer(name, s.Q, bufBytes, s.Stats))
 	out := mem.AddrRange{Base: s.nextWin, Size: 1 << 20}
 	s.nextWin += 1 << 20
 	in := mem.AddrRange{Base: s.nextWin, Size: 1 << 20}
@@ -377,12 +334,22 @@ func (s *SoC) StreamLink(name string, producer, consumer *AccelNode, bufBytes in
 }
 
 // StreamWindow allocates a window bound to an existing buffer on one
-// accelerator (for DMA-fed streams).
+// accelerator (for DMA-fed streams); the buffer joins the system here
+// unless a stream DMA already registered it.
 func (s *SoC) StreamWindow(node *AccelNode, buf *mem.StreamBuffer, dir core.StreamDir) uint64 {
+	register(&s.system, buf)
 	w := mem.AddrRange{Base: s.nextWin, Size: 1 << 20}
 	s.nextWin += 1 << 20
 	node.Comm.AttachStream(w, buf, dir)
 	return w.Base
+}
+
+// orDefault is the one "zero means default" rule for optional knobs.
+func orDefault(v, d int) int {
+	if v > 0 {
+		return v
+	}
+	return d
 }
 
 func (s *SoC) allocMMR(regs int) uint64 {

@@ -236,38 +236,110 @@ func streamSoC(t *testing.T) (*salam.SoC, func() [3]uint64) {
 	return soc, run
 }
 
-// TestSoCWarmStartStreaming is the satellite-2 regression: a full
-// streaming SoC — stream buffers, stream windows, block DMA, crossbar,
-// GIC, host — must replay a driver program after SoC.Reset with a
-// byte-identical schedule and statistics to a freshly built system. Any
-// component whose Reset contract is incomplete (stale FIFO bytes, a
-// latched DMA busy bit, queued crossbar requests, pending GIC lines)
-// shifts the fingerprint.
+// llcClusterSoC builds a cluster behind a last-level cache — local
+// crossbar, shared scratchpad, cluster DMA, one ReLU accelerator — and
+// returns the SoC plus a run function that stages input in DRAM, has the
+// cluster DMA pull it through the LLC into the shared SPM, runs the
+// kernel, DMAs the result back, and fingerprints the completed run.
+func llcClusterSoC(t *testing.T) (*salam.SoC, func() [3]uint64) {
+	t.Helper()
+	const n = 64
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = float64(i%9) - 4
+	}
+	want := kernels.ReLUGolden(vals)
+
+	soc := salam.NewSoC(16)
+	soc.EnableLLC(64<<10, 64, 4)
+	cl := soc.NewCluster("cl0", salam.ClusterOpts{SharedSPMBytes: 64 << 10})
+	node, err := cl.AddAccel("relu", salam.AccelBuild{F: kernels.ReLU(n).F,
+		Opts: salam.AccelOpts{SharedSPM: cl.SharedSPM}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dramIn, dramOut, bytes = 0x1000, 0x2000, n * 8
+	spmIn := cl.SharedSPM.Range().Base
+	spmOut := spmIn + bytes
+	dmaBase := cl.DMA.MMR.Range().Base
+
+	run := func() [3]uint64 {
+		for i, v := range vals {
+			soc.Space.WriteF64(dramIn+uint64(i*8), v)
+		}
+		var tEnd sim.Tick
+		var prog []salam.DriverOp
+		prog = append(prog, salam.StartDMA(dmaBase, dramIn, spmIn, bytes, 128, true)...)
+		prog = append(prog, salam.WaitIRQ{Line: cl.DMAIRQ})
+		prog = append(prog, salam.StartAccel(node.MMRBase, []uint64{spmIn, spmOut}, true)...)
+		prog = append(prog, salam.WaitIRQ{Line: node.IRQLine})
+		prog = append(prog, salam.StartDMA(dmaBase, spmOut, dramOut, bytes, 128, true)...)
+		prog = append(prog, salam.WaitIRQ{Line: cl.DMAIRQ})
+		// Read the input back: served by the LLC lines the first DMA filled.
+		prog = append(prog, salam.StartDMA(dmaBase, dramIn, spmIn, bytes, 128, true)...)
+		prog = append(prog, salam.WaitIRQ{Line: cl.DMAIRQ})
+		prog = append(prog, salam.Stamp(soc, &tEnd))
+		if _, err := soc.RunHost(prog); err != nil {
+			t.Fatal(err)
+		}
+		soc.Run()
+		for i, w := range want {
+			if got := soc.Space.ReadF64(dramOut + uint64(i*8)); got != w {
+				t.Fatalf("out[%d] = %g, want %g", i, got, w)
+			}
+		}
+		return [3]uint64{uint64(tEnd), uint64(soc.Q.Now()), soc.Q.Fired()}
+	}
+	return soc, run
+}
+
+// warmTopologies are the systems the warm-start and registry tests walk:
+// the streaming pipeline, a cluster behind an LLC, and a config-built SoC.
+var warmTopologies = []struct {
+	name  string
+	build func(*testing.T) (*salam.SoC, func() [3]uint64)
+}{
+	{"stream", streamSoC},
+	{"llc-cluster", llcClusterSoC},
+	{"cnn_cluster.json", clusterConfigSoC},
+}
+
+// TestSoCWarmStartStreaming is the warm-start regression: every topology
+// — stream buffers, stream windows, block DMA, crossbars, GIC, host, a
+// cluster's local crossbar and DMA, the LLC — must replay its driver
+// program after SoC.Reset with a byte-identical schedule and statistics to
+// a freshly built system. Any device missing from the registry, or whose
+// Reset contract is incomplete (stale FIFO bytes, a latched DMA busy bit,
+// queued crossbar requests, pending GIC lines, warm LLC tags), shifts the
+// fingerprint.
 func TestSoCWarmStartStreaming(t *testing.T) {
 	dump := func(s *salam.SoC) string {
 		var sb strings.Builder
 		s.Stats.Dump(&sb)
 		return sb.String()
 	}
+	for _, tc := range warmTopologies {
+		t.Run(tc.name, func(t *testing.T) {
+			coldSoC, coldRun := tc.build(t)
+			cold := coldRun()
+			coldStats := dump(coldSoC)
 
-	coldSoC, coldRun := streamSoC(t)
-	cold := coldRun()
-	coldStats := dump(coldSoC)
-
-	warmSoC, warmRun := streamSoC(t)
-	first := warmRun()
-	if first != cold {
-		t.Fatalf("two fresh SoCs diverged: %v vs %v", first, cold)
-	}
-	for i := 0; i < 2; i++ {
-		warmSoC.Reset()
-		got := warmRun()
-		if got != cold {
-			t.Fatalf("warm run %d fingerprint = %v, cold = %v", i+1, got, cold)
-		}
-		if s := dump(warmSoC); s != coldStats {
-			t.Fatalf("warm run %d stats dump diverged from cold run:\nwarm:\n%s\ncold:\n%s", i+1, s, coldStats)
-		}
+			warmSoC, warmRun := tc.build(t)
+			first := warmRun()
+			if first != cold {
+				t.Fatalf("two fresh SoCs diverged: %v vs %v", first, cold)
+			}
+			for i := 0; i < 2; i++ {
+				warmSoC.Reset()
+				got := warmRun()
+				if got != cold {
+					t.Fatalf("warm run %d fingerprint = %v, cold = %v", i+1, got, cold)
+				}
+				if s := dump(warmSoC); s != coldStats {
+					t.Fatalf("warm run %d stats dump diverged from cold run:\nwarm:\n%s\ncold:\n%s", i+1, s, coldStats)
+				}
+			}
+		})
 	}
 }
 
@@ -294,6 +366,16 @@ func TestSoCWarmStartTraced(t *testing.T) {
 		// slices, so check an engine lane instead for liveness.
 		if rec.Total("conv", "engine") == 0 {
 			t.Fatal("timeline recorded nothing across warm restart")
+		}
+	}
+
+	// Every device registers lanes, including the ones a cluster and
+	// EnableLLC construct.
+	soc, _ = llcClusterSoC(t)
+	soc.SetTimeline(rec)
+	for _, lane := range [][2]string{{"llc", "access"}, {"cl0.xbar", "route"}, {"cl0.dma", "transfer"}} {
+		if _, ok := rec.Counts(lane[0], lane[1]); !ok {
+			t.Errorf("SetTimeline registered no %s/%s lane", lane[0], lane[1])
 		}
 	}
 }
