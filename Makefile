@@ -3,12 +3,12 @@
 # `make check` is the tier-1 gate: full build + tests, vet, the race
 # detector over the repo's concurrency layer (the campaign engine and the
 # experiment sweeps that ride on it), plus the golden determinism guard
-# and a 1-iteration benchmark smoke so perf regressions that break the
-# harness are caught before a full `make bench` run.
+# and a 1-iteration benchmark smoke so a change that breaks the benchmark
+# harness is caught before bench/run.sh has to find it.
 
 GO ?= go
 
-.PHONY: all build test race vet vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build bench-diff check bench bench-all bench-campaign
+.PHONY: all build test race vet vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build check bench-all bench-campaign loc
 
 all: check
 
@@ -30,7 +30,7 @@ vet-sim:
 # produce a nonzero lower bound (the CSV goes to /dev/null; failure exits
 # nonzero).
 analyze-smoke:
-	$(GO) run ./cmd/salam-analyze -all > /dev/null
+	$(GO) run ./cmd/salam analyze -all > /dev/null
 
 # Native-fuzz smoke over the untrusted-input surfaces: malformed CDFG
 # sources through parse -> elaborate -> analyze -> cycle/energy bounds,
@@ -91,15 +91,15 @@ sample-smoke:
 	$(GO) test -count=1 ./internal/sample
 
 # Declarative-config smoke: every shipped config validates, summarizes,
-# and emits through the salam-config CLI; a known-bad fixture with a
+# and emits through the `salam config` CLI; a known-bad fixture with a
 # typo'd knob must be rejected with a "did you mean" diagnostic; and the
 # byte-identity suite proves config-built systems match Go-built ones.
 config-smoke:
-	$(GO) run ./cmd/salam-config validate configs/*.json > /dev/null
-	$(GO) run ./cmd/salam-config info configs/cnn_cluster.json > /dev/null
-	$(GO) run ./cmd/salam-config list-fus > /dev/null
-	$(GO) run ./cmd/salam-config emit configs/gemm_spm.json > /dev/null
-	@if $(GO) run ./cmd/salam-config validate testdata/config/bad_spm_bank.json 2>/dev/null; then \
+	$(GO) run ./cmd/salam config validate configs/*.json > /dev/null
+	$(GO) run ./cmd/salam config info configs/cnn_cluster.json > /dev/null
+	$(GO) run ./cmd/salam config list-fus > /dev/null
+	$(GO) run ./cmd/salam config emit configs/gemm_spm.json > /dev/null
+	@if $(GO) run ./cmd/salam config validate testdata/config/bad_spm_bank.json 2>/dev/null; then \
 		echo "config-smoke: bad fixture was accepted"; exit 1; fi
 	$(GO) test -run 'TestConfig|TestShippedConfigs' -count=1 .
 
@@ -123,24 +123,7 @@ bench-smoke:
 bench-build:
 	cd bench && $(GO) vet .
 
-# Compare the last two recorded points in BENCH_engine.json: fails when an
-# Engine* benchmark regressed more than 10% in ns/op (other benchmarks are
-# advisory). Record a fresh point first with `make bench LABEL=...`.
-bench-diff:
-	$(GO) run ./cmd/salam-bench -diff
-
-# bench-diff is advisory in check (leading `-`): the committed points span
-# different machines, so a cross-host delta must not fail the tier-1 gate.
 check: build vet vet-sim test race golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build analyze-smoke fuzz-smoke
-	-$(MAKE) bench-diff
-
-# Timed engine benchmarks (EngineGEMM/EngineBFS/DSECampaign/CampaignWarm),
-# recorded as a labeled point in BENCH_engine.json so the repo keeps a
-# perf trajectory.
-# Override the label with `make bench LABEL=my-change`.
-LABEL ?= dev
-bench:
-	$(GO) run ./cmd/salam-bench -label $(LABEL)
 
 # Every benchmark in the suite, one iteration each.
 bench-all:
@@ -149,3 +132,9 @@ bench-all:
 # 1-worker vs all-cores sweep wall-time (the campaign speedup).
 bench-campaign:
 	$(GO) test -bench=BenchmarkDSECampaign -benchtime=3x .
+
+# The size figures every simplicity PR reports: non-test Go lines outside
+# the nested bench/ module, and the number of binaries under cmd/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+	@ls cmd | wc -l

@@ -9,7 +9,7 @@
 // per-job progress on stderr. Output order and bytes are identical to the
 // serial sweep regardless of worker count. Workers reuse warm-started
 // pooled systems that share one immutable CDFG per configuration (the
-// elaboration cache); -cold rebuilds a fresh system per point instead.
+// elaboration cache).
 //
 // The flags build a campaign.Space — the same spec a salam-serve
 // submission carries — so the CLI and the service enumerate identical job
@@ -111,7 +111,7 @@ func parseRange(s, what string) (*campaign.Range, error) {
 
 func main() {
 	kernel := flag.String("kernel", "gemm", "kernel name")
-	preset := flag.String("preset", "small", "workload preset: small or default")
+	preset := flag.String("preset", "small", "workload preset: small, default, micro or large")
 	cfgPath := flag.String("config", "", "flat run-config JSON; its kernel and preset seed the sweep (overrides -kernel/-preset)")
 	portsList := flag.String("ports", "2,4,8", "read/write port counts to sweep (each >= 1)")
 	fuList := flag.String("fu", "0", "FP adder+multiplier limits to sweep (0 = dedicated)")
@@ -123,13 +123,11 @@ func main() {
 	doSearch := flag.Bool("search", false, "prove the exact Pareto frontier by branch-and-bound instead of sweeping every point")
 	objective := flag.String("objective", "pareto", "with -search: pareto (frontier), edp (minimize energy-delay product), or cycles (minimize cycles)")
 	maxArea := flag.Float64("max-area", 0, "with -search: only admit configurations whose total area fits this budget in um2 (0 = unconstrained)")
-	noProxy := flag.Bool("no-proxy", false, "with -search: disable the reduced-trip proxy rung of successive halving")
 	jobs := flag.Int("jobs", 0, "parallel simulations (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache", "", "result-cache directory (e.g. results/cache); empty disables caching")
 	timeout := flag.Duration("timeout", 0, "per-simulation timeout (0 = none)")
 	quiet := flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
 	dumpStats := flag.Bool("stats", false, "dump campaign counters to stderr at the end")
-	cold := flag.Bool("cold", false, "build a fresh system per point instead of reusing warm-started pooled sessions")
 	noPrune := flag.Bool("no-prune", false, "simulate every point, even ones the static analyzer proves worse than an already-measured point")
 	traceBest := flag.String("trace-best", "", "after the sweep, re-run the best point with timeline tracing and write the Perfetto trace here")
 	jsonOut := flag.Bool("json", false, "emit the canonical NDJSON row stream instead of CSV")
@@ -210,7 +208,7 @@ func main() {
 		if *remote != "" {
 			os.Exit(runRemoteSearch(*remote, space))
 		}
-		os.Exit(runSearch(space, *jobs, *cacheDir, *cold, *noProxy, *dumpStats))
+		os.Exit(runSearch(space, *jobs, *cacheDir, *dumpStats))
 	}
 
 	// Build enumerates points and jobs in the canonical sweep order and
@@ -229,7 +227,6 @@ func main() {
 		Workers:   *jobs,
 		Timeout:   *timeout,
 		Stats:     sim.NewGroup("dse"),
-		ColdStart: *cold,
 		TraceBest: *traceBest,
 	}
 	if !*noPrune {
@@ -250,51 +247,25 @@ func main() {
 		cfg.Cache = cache
 	}
 
-	outcomes := campaign.Run(context.Background(), cfg, jobSpecs)
-
-	failed := 0
+	rows := campaign.Rows(campaign.Run(context.Background(), cfg, jobSpecs))
 	if *jsonOut {
 		// The canonical row stream: no static_lb backfill, no CSV
 		// massaging — with -no-prune these bytes diff clean against the
 		// same space streamed from a salam-serve daemon.
-		if err := campaign.WriteRows(os.Stdout, campaign.Rows(outcomes)); err != nil {
+		if err := campaign.WriteRows(os.Stdout, rows); err != nil {
 			fail(err)
 		}
-		for _, o := range outcomes {
-			if o.Err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "warning: %s: %v\n", o.Job.ID, o.Err)
-			}
-		}
 	} else {
-		// A failed point becomes an error row and a stderr warning; the
-		// sweep still finishes and reports every other point, then exits
-		// non-zero.
-		fmt.Println("kernel,memory,fu_limit,ports,cycles,static_lb,static_energy,time_us,power_mw,datapath_mw,area_um2")
-		for i, o := range outcomes {
-			pt := pts[i]
-			if o.Err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "warning: %s: %v\n", o.Job.ID, o.Err)
-				msg := strings.NewReplacer(",", ";", "\n", " ").Replace(o.Err.Error())
-				fmt.Printf("%s,%s,%d,%d,error,%s\n", kname, pt.Mem, pt.FU, pt.Ports, msg)
-				continue
-			}
-			energy, _ := campaign.StaticEnergy(jobSpecs[i])
-			if o.Pruned {
-				fmt.Printf("%s,%s,%d,%d,pruned,%d,%.1f,,,,\n",
-					kname, pt.Mem, pt.FU, pt.Ports, o.StaticLB, energy)
-				continue
-			}
-			if o.StaticLB == 0 {
-				// The campaign only bounds jobs when pruning is on; fill the
-				// column here so -no-prune rows stay comparable. The CDFG and
-				// its analysis are already cached from the simulation itself.
-				if lb, ok := campaign.StaticPrune(jobSpecs[i]); ok {
-					o.StaticLB = lb
-				}
-			}
-			printCSVRow(kname, pt, o.Metrics, o.StaticLB, energy)
+		fmt.Println(csvHeader)
+	}
+	failed := 0
+	for _, row := range rows {
+		if row.Status == campaign.StatusError {
+			failed++
+			fmt.Fprintf(os.Stderr, "warning: %s: %s\n", row.ID, row.Error)
+		}
+		if !*jsonOut {
+			printCSVRow(kname, pts[row.Index], jobSpecs[row.Index], row)
 		}
 	}
 	if *dumpStats {
@@ -303,17 +274,61 @@ func main() {
 		fmt.Fprintf(os.Stderr, "elab_cache: %d hits, %d misses\n", hits, misses)
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d of %d points failed\n", failed, len(outcomes))
+		fmt.Fprintf(os.Stderr, "%d of %d points failed\n", failed, len(rows))
 		os.Exit(1)
 	}
 }
 
-// printCSVRow renders one measured point in the sweep's CSV schema.
-func printCSVRow(kname string, pt campaign.Point, m *campaign.Metrics, staticLB uint64, staticEnergyPJ float64) {
-	fmt.Printf("%s,%s,%d,%d,%d,%d,%.1f,%.3f,%.3f,%.3f,%.0f\n",
-		kname, pt.Mem, pt.FU, pt.Ports, m.Cycles, staticLB, staticEnergyPJ,
-		float64(m.Ticks)/1e6, m.Power.TotalMW(),
-		m.Power.DatapathMW(), m.Power.TotalAreaUM2())
+const csvHeader = "kernel,memory,fu_limit,ports,cycles,static_lb,static_energy,time_us,power_mw,datapath_mw,area_um2"
+
+// printCSVRow renders one canonical row in the sweep's CSV schema — the
+// one renderer behind the in-process and the -remote sweep. A failed point
+// becomes an error row; the sweep still reports every other point.
+func printCSVRow(kname string, pt campaign.Point, job campaign.Job, row campaign.Row) {
+	switch row.Status {
+	case campaign.StatusOK:
+		lb, energy := row.StaticLB, row.StaticEnergyPJ
+		if lb == 0 {
+			// Only a pruning campaign bounds its jobs (the server never
+			// does); fill the column here so every ok row is comparable.
+			// The CDFG and its analysis are cached, so this is cheap.
+			lb, _ = campaign.StaticPrune(job)
+		}
+		if energy == 0 {
+			// Pre-energy servers omit the field; derive it locally.
+			energy, _ = campaign.StaticEnergy(job)
+		}
+		m := row.Metrics
+		fmt.Printf("%s,%s,%d,%d,%d,%d,%.1f,%.3f,%.3f,%.3f,%.0f\n",
+			kname, pt.Mem, pt.FU, pt.Ports, m.Cycles, lb, energy,
+			float64(m.Ticks)/1e6, m.Power.TotalMW(),
+			m.Power.DatapathMW(), m.Power.TotalAreaUM2())
+	case campaign.StatusError:
+		msg := strings.NewReplacer(",", ";", "\n", " ").Replace(row.Error)
+		fmt.Printf("%s,%s,%d,%d,error,%s\n", kname, pt.Mem, pt.FU, pt.Ports, msg)
+	default:
+		// pruned, or skipped by a sharded server: the point has no metrics.
+		fmt.Printf("%s,%s,%d,%d,%s,%d,%.1f,,,,\n", kname, pt.Mem, pt.FU, pt.Ports, row.Status, row.StaticLB, row.StaticEnergyPJ)
+	}
+}
+
+// submit posts the space to a salam-serve endpoint and decodes the 202
+// acknowledgement.
+func submit(base, path string, space campaign.Space, ack any) error {
+	body, err := json.Marshal(space)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("%s rejected the space: HTTP %d: %s", base, resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	return json.NewDecoder(resp.Body).Decode(ack)
 }
 
 // runRemote submits the space to a salam-serve daemon and renders its
@@ -324,25 +339,12 @@ func runRemote(base string, space campaign.Space, jsonOut bool, kname string, pt
 		fmt.Fprintln(os.Stderr, "remote:", err)
 		return 2
 	}
-	body, err := json.Marshal(space)
-	if err != nil {
-		return fail(err)
-	}
 	base = strings.TrimRight(base, "/")
-	resp, err := http.Post(base+"/v1/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fail(fmt.Errorf("%s rejected the space: HTTP %d: %s", base, resp.StatusCode, strings.TrimSpace(string(msg))))
-	}
 	var accepted struct {
 		ID      string `json:"id"`
 		Results string `json:"results"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
+	if err := submit(base, "/v1/campaigns", space, &accepted); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "remote: campaign %s accepted (%d points) on %s\n", accepted.ID, len(jobSpecs), base)
@@ -364,7 +366,7 @@ func runRemote(base string, space campaign.Space, jsonOut bool, kname string, pt
 		return 0
 	}
 
-	fmt.Println("kernel,memory,fu_limit,ports,cycles,static_lb,static_energy,time_us,power_mw,datapath_mw,area_um2")
+	fmt.Println(csvHeader)
 	failed := 0
 	sc := bufio.NewScanner(stream.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -376,33 +378,11 @@ func runRemote(base string, space campaign.Space, jsonOut bool, kname string, pt
 		if row.Index < 0 || row.Index >= len(pts) {
 			return fail(fmt.Errorf("results row index %d outside the %d-point space", row.Index, len(pts)))
 		}
-		pt := pts[row.Index]
-		switch row.Status {
-		case campaign.StatusOK:
-			lb := row.StaticLB
-			if lb == 0 {
-				// The server never prunes; compute the bound locally so
-				// remote CSV keeps the same static_lb column.
-				if v, ok := campaign.StaticPrune(jobSpecs[row.Index]); ok {
-					lb = v
-				}
-			}
-			energy := row.StaticEnergyPJ
-			if energy == 0 {
-				// Pre-energy servers omit the field; derive it locally.
-				energy, _ = campaign.StaticEnergy(jobSpecs[row.Index])
-			}
-			printCSVRow(kname, pt, row.Metrics, lb, energy)
-		case campaign.StatusError:
+		if row.Status == campaign.StatusError {
 			failed++
 			fmt.Fprintf(os.Stderr, "warning: %s: %s\n", row.ID, row.Error)
-			msg := strings.NewReplacer(",", ";", "\n", " ").Replace(row.Error)
-			fmt.Printf("%s,%s,%d,%d,error,%s\n", kname, pt.Mem, pt.FU, pt.Ports, msg)
-		default:
-			// pruned/skipped from a sharded or pruning server: the point
-			// has no metrics here.
-			fmt.Printf("%s,%s,%d,%d,%s,%d,%.1f,,,,\n", kname, pt.Mem, pt.FU, pt.Ports, row.Status, row.StaticLB, row.StaticEnergyPJ)
 		}
+		printCSVRow(kname, pts[row.Index], jobSpecs[row.Index], row)
 	}
 	if err := sc.Err(); err != nil {
 		return fail(err)
@@ -425,7 +405,7 @@ func searchStats(res *search.Result) string {
 
 // runSearch proves the space's Pareto frontier in-process: frontier CSV on
 // stdout, accounting on stderr. Returns the process exit code.
-func runSearch(space campaign.Space, jobs int, cacheDir string, cold, noProxy, dumpStats bool) int {
+func runSearch(space campaign.Space, jobs int, cacheDir string, dumpStats bool) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "search:", err)
 		return 2
@@ -433,12 +413,7 @@ func runSearch(space campaign.Space, jobs int, cacheDir string, cold, noProxy, d
 	if err := space.Validate(); err != nil {
 		return fail(err)
 	}
-	cfg := search.Config{
-		Space:     space,
-		Workers:   jobs,
-		ColdStart: cold,
-		NoProxy:   noProxy,
-	}
+	cfg := search.Config{Space: space, Workers: jobs}
 	if cacheDir != "" {
 		cache, err := campaign.OpenCache(cacheDir)
 		if err != nil {
@@ -474,27 +449,14 @@ func runRemoteSearch(base string, space campaign.Space) int {
 		fmt.Fprintln(os.Stderr, "remote search:", err)
 		return 2
 	}
-	body, err := json.Marshal(space)
-	if err != nil {
-		return fail(err)
-	}
 	base = strings.TrimRight(base, "/")
-	resp, err := http.Post(base+"/v1/searches", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fail(fmt.Errorf("%s rejected the space: HTTP %d: %s", base, resp.StatusCode, strings.TrimSpace(string(msg))))
-	}
 	var accepted struct {
 		ID       string `json:"id"`
 		Points   int    `json:"points"`
 		Classes  int    `json:"classes"`
 		Frontier string `json:"frontier"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
+	if err := submit(base, "/v1/searches", space, &accepted); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "remote: search %s accepted (%d points, %d collapsed classes) on %s\n",

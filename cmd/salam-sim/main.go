@@ -55,7 +55,7 @@ func main() {
 		os.Exit(1)
 	}
 	if cfg.Version != 0 {
-		fmt.Fprintf(os.Stderr, "%s is a topology (version %d) config; salam-sim runs flat single-accelerator configs — inspect topologies with salam-config info\n", *cfgPath, cfg.Version)
+		fmt.Fprintf(os.Stderr, "%s is a topology (version %d) config; salam-sim runs flat single-accelerator configs — inspect topologies with salam config info\n", *cfgPath, cfg.Version)
 		os.Exit(2)
 	}
 	k, opts, err := salam.KernelFromConfig(cfg)

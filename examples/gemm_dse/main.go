@@ -44,13 +44,8 @@ func main() {
 	for _, fu := range []int{2, 4, 8, 16} {
 		for _, ports := range []int{2, 4, 8, 16} {
 			opts := salam.DefaultRunOpts()
-			opts.Accel.ReadPorts, opts.Accel.WritePorts = ports, ports
-			opts.Accel.MaxOutstanding = 2 * ports
-			opts.SPMPortsPer = ports
+			opts.SetPoint(ports, fu, fu)
 			opts.Accel.ResQueueSize = 1024
-			opts.Accel.FULimits = map[salam.FUClass]int{
-				salam.FUFPAdder: fu, salam.FUFPMultiplier: fu,
-			}
 			grid = append(grid, point{fu: fu, ports: ports})
 			jobs = append(jobs, campaign.Job{
 				ID:        fmt.Sprintf("gemm fu=%d ports=%d", fu, ports),

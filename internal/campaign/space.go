@@ -5,7 +5,6 @@ import (
 	"time"
 
 	salam "gosalam"
-	"gosalam/internal/hw"
 	"gosalam/kernels"
 )
 
@@ -20,9 +19,10 @@ import (
 // spaces a few bytes of JSON, which is what internal/search explores
 // without enumerating. A knob may use one form or the other, not both.
 type Space struct {
-	// Kernel names the workload (kernels.ByName).
+	// Kernel names the workload (kernels.Lookup).
 	Kernel string `json:"kernel"`
-	// Preset selects the workload size: "small" (default) or "default".
+	// Preset selects the workload size: "small" (the default), "default",
+	// "micro" or "large" (kernels.ParsePreset).
 	Preset string `json:"preset,omitempty"`
 	// Ports lists the read/write port counts to sweep (default 2,4,8).
 	Ports []int `json:"ports,omitempty"`
@@ -162,22 +162,13 @@ type Axes struct {
 // Axes validates the space and resolves its axes without enumerating the
 // cross product.
 func (s Space) Axes() (*Axes, error) {
-	preset := s.Preset
-	if preset == "" {
-		preset = "small"
+	preset, err := kernels.ParsePreset(s.Preset, kernels.Small)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	var kp kernels.Preset
-	switch preset {
-	case "small":
-		kp = kernels.Small
-	case "default":
-		kp = kernels.Default
-	default:
-		return nil, fmt.Errorf("campaign: unknown preset %q (want small or default)", preset)
-	}
-	k := kernels.ByName(kp, s.Kernel)
-	if k == nil {
-		return nil, fmt.Errorf("campaign: unknown kernel %q", s.Kernel)
+	k, err := kernels.Lookup(preset, s.Kernel)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	ports, err := axisValues("ports", s.Ports, s.PortRange, 1, []int{2, 4, 8})
 	if err != nil {
@@ -242,24 +233,13 @@ func (s Space) Validate() error {
 }
 
 // Size returns the number of points the space enumerates (after
-// defaulting), without building jobs. Invalid spaces still get an
-// arithmetic answer; Validate is the error-reporting path.
+// defaulting) without building jobs, 0 for a space Validate rejects.
 func (s Space) Size() int {
-	axis := func(list []int, rng *Range, def int) int {
-		switch {
-		case rng != nil:
-			return rng.Count()
-		case list != nil:
-			return len(list)
-		default:
-			return def
-		}
+	a, err := s.Axes()
+	if err != nil {
+		return 0
 	}
-	mem := len(s.Mem)
-	if s.Mem == nil {
-		mem = 1
-	}
-	return mem * axis(s.FU, s.FURange, 1) * axis(s.Ports, s.PortRange, 3) * axis(s.Banks, s.BankRange, 1)
+	return a.Size()
 }
 
 // Size is the number of points the axes enumerate.
@@ -293,16 +273,8 @@ func (a *Axes) PointAt(i int) Point {
 func (a *Axes) JobAt(i int) Job {
 	mem, fu, port, bank := a.coords(i)
 	opts := salam.DefaultRunOpts()
-	opts.Accel.ReadPorts = port
-	opts.Accel.WritePorts = port
-	opts.Accel.MaxOutstanding = 2 * port
-	opts.SPMPortsPer = port
+	opts.SetPoint(port, fu, fu)
 	opts.SPMBanks = bank
-	if fu > 0 {
-		opts.Accel.FULimits = map[hw.FUClass]int{
-			hw.FUFPAdder: fu, hw.FUFPMultiplier: fu,
-		}
-	}
 	if mem == "cache" {
 		opts.Mem = salam.MemCache
 	}

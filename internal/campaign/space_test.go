@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,8 @@ func TestSpaceValidate(t *testing.T) {
 	good := []Space{
 		{Kernel: "gemm"},
 		{Kernel: "gemm", Banks: []int{1, 2, 8}},
+		{Kernel: "gemm", Preset: "micro"},
+		{Kernel: "relu", Preset: "large"},
 		{Kernel: "gemm", PortRange: &Range{Min: 1, Max: 100}},
 		{Kernel: "gemm", FURange: &Range{Min: 0, Max: 999, Step: 3}},
 		{Kernel: "gemm-tree", PortRange: &Range{Min: 1, Max: 100},
@@ -87,6 +91,49 @@ func TestSpaceValidate(t *testing.T) {
 		}
 		if !strings.HasPrefix(err.Error(), "campaign: ") {
 			t.Errorf("unprefixed error: %v", err)
+		}
+	}
+}
+
+// TestSpaceKeysStable pins the IDs, kernel keys and content-addressed
+// store keys of the 48-point space bench/dse.go submits to the values the
+// hand-written JobAt overlay produced before salam.RunOpts.SetPoint: a
+// store filled by any earlier build must stay 100% hits.
+func TestSpaceKeysStable(t *testing.T) {
+	sp := Space{Kernel: "gemm", Preset: "default", Ports: []int{2, 4, 8}, FU: []int{0, 2, 4, 8},
+		Banks: []int{2, 4}, Mem: []string{"spm", "cache"}}
+	_, jobs, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all strings.Builder
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		if keys[i], err = JobKey(j); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&all, "%s\t%s\t%s\n", j.ID, j.KernelKey, keys[i])
+	}
+	const (
+		first  = "dbdc481312515a208437b877fd4e45dd8c9fe03950915813fe694d00ec03bbc0"
+		last   = "ec4494e2c26829269ced270a8ed67727fff71eb168a81f4c6bde0b00c528e4e5"
+		digest = "82d97d83cdd5917181697307bfa82b53ef20c6d2c48bd9c2180dfccfc4b62e6b"
+	)
+	if len(jobs) != 48 || jobs[0].ID != "gemm spm fu=0 ports=2 banks=2" || keys[0] != first ||
+		jobs[47].ID != "gemm cache fu=8 ports=8 banks=4" || keys[47] != last {
+		t.Fatalf("%d jobs; first %q %s, last %q %s", len(jobs), jobs[0].ID, keys[0], jobs[47].ID, keys[47])
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(all.String()))); got != digest {
+		t.Fatalf("job list digest %s, want %s:\n%s", got, digest, all.String())
+	}
+	for _, preset := range []string{"", "small", "micro", "large"} {
+		want := preset
+		if want == "" {
+			want = "small"
+		}
+		a, err := Space{Kernel: "gemm", Preset: preset}.Axes()
+		if err != nil || a.KernelKey != "gemm/preset="+want {
+			t.Errorf("preset %q: kernel key %q, %v", preset, a.KernelKey, err)
 		}
 	}
 }

@@ -17,11 +17,7 @@ import (
 // functional units for the same SPMV-CRS kernel depending on the input
 // dataset, while SALAM's statically elaborated datapath is invariant.
 func Table1(s Scale) (*Table, error) {
-	n, nnz := 32, 4
-	if s == ScaleFull {
-		n, nnz = 128, 5
-	}
-	k := kernels.SPMVCondShift(n, nnz)
+	k := kernels.ByName(s.preset(), "spmv-condshift")
 	profile := hw.Default40nm()
 	mm := trace.FixedLatency{Cycles: 2, Label: "spm"}
 
@@ -63,11 +59,7 @@ func Table1(s Scale) (*Table, error) {
 // for fully-unrolled GEMM varies with cache size and memory type, while
 // SALAM decouples the datapath from the memory hierarchy.
 func Table2(s Scale) (*Table, error) {
-	n := 6
-	if s == ScaleFull {
-		n = 10
-	}
-	k := kernels.GEMMUnrolledInner(n)
+	k := kernels.ByName(s.preset(), "gemm-unrolled")
 	profile := hw.Default40nm()
 	mem := ir.NewFlatMem(0, 1<<24)
 	inst := k.Setup(mem, 1)
@@ -106,10 +98,7 @@ func Table2(s Scale) (*Table, error) {
 // Table4 reproduces Table IV: wall-clock preprocessing and simulation time
 // of the trace-based baseline vs gosalam, per benchmark.
 func Table4(s Scale) (*Table, error) {
-	preset := kernels.Small
-	if s == ScaleFull {
-		preset = kernels.Default
-	}
+	preset := s.preset()
 	profile := hw.Default40nm()
 	t := &Table{
 		ID:    "table4",

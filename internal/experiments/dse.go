@@ -47,21 +47,9 @@ func gemmFor(s Scale) (*kernels.Kernel, int) {
 func gemmOpts(ports, fuAdd, fuMul int, memKind salam.MemKind) salam.RunOpts {
 	opts := salam.DefaultRunOpts()
 	opts.Mem = memKind
-	opts.Accel.ReadPorts = ports
-	opts.Accel.WritePorts = ports
-	opts.Accel.MaxOutstanding = 2 * ports
+	opts.SetPoint(ports, fuAdd, fuMul) // memory bandwidth follows the port sweep
 	opts.Accel.ResQueueSize = 1024
-	opts.SPMPortsPer = ports // memory bandwidth follows the port sweep
 	opts.SPMBanks = 4
-	if fuAdd > 0 || fuMul > 0 {
-		opts.Accel.FULimits = map[hw.FUClass]int{}
-		if fuAdd > 0 {
-			opts.Accel.FULimits[hw.FUFPAdder] = fuAdd
-		}
-		if fuMul > 0 {
-			opts.Accel.FULimits[hw.FUFPMultiplier] = fuMul
-		}
-	}
 	return opts
 }
 

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -123,13 +122,4 @@ func signedErrPct(a, b float64) float64 {
 		return 0
 	}
 	return (a - b) / b * 100
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

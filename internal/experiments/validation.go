@@ -16,10 +16,7 @@ import (
 // Fig4 reproduces Fig. 4: the seven-category total power breakdown for
 // the MachSuite set running with private SPMs.
 func Fig4(s Scale) (*Table, error) {
-	preset := kernels.Small
-	if s == ScaleFull {
-		preset = kernels.Default
-	}
+	preset := s.preset()
 	t := &Table{
 		ID:    "fig4",
 		Title: "Total power analysis with private SPM (% contribution)",
@@ -44,10 +41,14 @@ func Fig4(s Scale) (*Table, error) {
 	return t, nil
 }
 
-// valBenchmarks is the Fig. 10-12 benchmark set (the paper evaluates 8;
-// we run the full suite and note exclusions where the paper had them).
-func valBenchmarks(preset kernels.Preset) []*kernels.Kernel {
-	return kernels.All(preset)
+// preset is the kernel-catalog size a scale runs the MachSuite set at.
+// Figs. 10-12 run the full suite (the paper evaluates 8) and note
+// exclusions where the paper had them.
+func (s Scale) preset() kernels.Preset {
+	if s == ScaleFull {
+		return kernels.Default
+	}
+	return kernels.Small
 }
 
 // hlsConfigFor matches the static scheduler's view to the RunKernel
@@ -67,10 +68,7 @@ func hlsConfigFor(opts salam.RunOpts) hls.Config {
 // Fig10 reproduces Fig. 10: cycle counts from the dynamic engine vs the
 // static HLS reference, with per-benchmark error.
 func Fig10(s Scale) (*Table, error) {
-	preset := kernels.Small
-	if s == ScaleFull {
-		preset = kernels.Default
-	}
+	preset := s.preset()
 	t := &Table{
 		ID:     "fig10",
 		Title:  "Performance validation (cycles, gosalam vs HLS reference)",
@@ -79,7 +77,7 @@ func Fig10(s Scale) (*Table, error) {
 	opts := salam.DefaultRunOpts()
 	var sumErr float64
 	var n int
-	for _, k := range valBenchmarks(preset) {
+	for _, k := range kernels.All(preset) {
 		res, err := salam.RunKernel(k, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
@@ -120,7 +118,7 @@ func powerAreaRows(preset kernels.Preset, area bool, skip map[string]string) (*T
 	refOpts.Profile = hw.SynthesisRef()
 	var sumErr float64
 	var n int
-	for _, k := range valBenchmarks(preset) {
+	for _, k := range kernels.All(preset) {
 		if why, ok := skip[k.Name]; ok {
 			t.AddRow(k.Name, "-", "-", "excluded: "+why)
 			continue
@@ -153,11 +151,7 @@ func powerAreaRows(preset kernels.Preset, area bool, skip map[string]string) (*T
 // Fig11 reproduces Fig. 11: datapath power under the simulator profile vs
 // the independent synthesis-reference calibration.
 func Fig11(s Scale) (*Table, error) {
-	preset := kernels.Small
-	if s == ScaleFull {
-		preset = kernels.Default
-	}
-	t, err := powerAreaRows(preset, false, map[string]string{
+	t, err := powerAreaRows(s.preset(), false, map[string]string{
 		"stencil3d": "Design Compiler ran out of memory during elaboration (paper Sec. IV-A)",
 	})
 	if err != nil {
@@ -172,11 +166,7 @@ func Fig11(s Scale) (*Table, error) {
 
 // Fig12 reproduces Fig. 12: datapath area under both calibrations.
 func Fig12(s Scale) (*Table, error) {
-	preset := kernels.Small
-	if s == ScaleFull {
-		preset = kernels.Default
-	}
-	t, err := powerAreaRows(preset, true, map[string]string{
+	t, err := powerAreaRows(s.preset(), true, map[string]string{
 		"md-grid": "custom IPs prevented Design Compiler area estimation (paper Sec. IV-A)",
 	})
 	if err != nil {
@@ -192,10 +182,7 @@ func Fig12(s Scale) (*Table, error) {
 // simulation side runs the full SoC (DMA staging + MMR control + IRQs);
 // the board side is the analytic ZCU102 model.
 func Table3(s Scale) (*Table, error) {
-	preset := kernels.Small
-	if s == ScaleFull {
-		preset = kernels.Default
-	}
+	preset := s.preset()
 	// The synthesized GEMM uses a reduction-tree inner loop, matching how
 	// Vivado HLS unrolls the constant-bound k-loop on the board.
 	table3Kernels := []*kernels.Kernel{

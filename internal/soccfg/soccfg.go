@@ -188,37 +188,13 @@ func Parse(data []byte) (*Config, error) {
 // Emit renders the canonical form of the config: stable field order,
 // two-space indentation, defaults left implicit, trailing newline. Emit
 // of a parsed document is idempotent — the round-trip contract behind
-// `salam-config emit`.
+// `salam config emit`.
 func (c *Config) Emit() ([]byte, error) {
 	out, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(out, '\n'), nil
-}
-
-// presetByName maps the schema spelling to a kernels.Preset.
-func presetByName(name string) (kernels.Preset, bool) {
-	switch name {
-	case "", "default":
-		return kernels.Default, true
-	case "small":
-		return kernels.Small, true
-	case "micro":
-		return kernels.Micro, true
-	case "large":
-		return kernels.Large, true
-	}
-	return 0, false
-}
-
-// ResolvePreset resolves the flat-form preset name.
-func (c *Config) ResolvePreset() (kernels.Preset, error) {
-	p, ok := presetByName(c.KernelRef.Preset)
-	if !ok {
-		return 0, fmt.Errorf("config: preset: unknown preset %q", c.KernelRef.Preset)
-	}
-	return p, nil
 }
 
 // errPath builds a field-path validation error.
@@ -256,7 +232,7 @@ func (d *DeviceCfg) validate(path string) error {
 	sort.Strings(names)
 	for _, name := range names {
 		if hw.FUClassByName(name) == hw.FUNone {
-			return errPath(path+".fu_limits."+name, "unknown FU class (see salam-config list-fus)")
+			return errPath(path+".fu_limits."+name, "unknown FU class (see salam config list-fus)")
 		}
 		if n := d.FULimits[name]; n < 0 {
 			return errPath(path+".fu_limits."+name, "%d is negative", n)
@@ -296,8 +272,8 @@ func (m *MemoryCfg) validate(path string) error {
 // is already rejected by Validate; inside an accelerator a reference is
 // mandatory.
 func (k *KernelRef) validate(path string) error {
-	if _, ok := presetByName(k.Preset); !ok {
-		return errPath(path+".preset", "unknown preset %q (small, default, micro, large)", k.Preset)
+	if _, err := kernels.ParsePreset(k.Preset, kernels.Default); err != nil {
+		return errPath(path+".preset", "%v", err)
 	}
 	switch {
 	case k.Kernel != "" && k.IRFile != "":
@@ -528,7 +504,7 @@ func (c *Config) ResolveIRPath(ref *KernelRef) string {
 	return filepath.Join(c.Dir, ref.IRFile)
 }
 
-// Describe returns a short human summary (salam-config info).
+// Describe returns a short human summary (salam config info).
 func (c *Config) Describe() string {
 	var b strings.Builder
 	if c.Version == 0 {

@@ -6,27 +6,26 @@ import "fmt"
 // lets declarative SoC configs pin exact workload dimensions instead of
 // picking a preset (e.g. the Fig. 16 CNN layers at a 12x12 image). The
 // size slice carries the same arguments as the Go constructor; optional
-// trailing arguments take the constructor's documented default.
+// trailing arguments take the constructor's documented default. Explicit
+// sizes are an unbounded key space, so unlike Lookup every call returns a
+// fresh kernel.
 func Construct(name string, size []int) (k *Kernel, err error) {
-	arity := func(min, max int) error {
-		if len(size) < min || len(size) > max {
-			if min == max {
-				return fmt.Errorf("kernels: %s takes %d size arguments, got %d", name, min, len(size))
-			}
-			return fmt.Errorf("kernels: %s takes %d-%d size arguments, got %d", name, min, max, len(size))
-		}
-		for i, v := range size {
-			if v <= 0 {
-				return fmt.Errorf("kernels: %s size[%d] = %d, must be positive", name, i, v)
-			}
-		}
-		return nil
+	f, err := familyByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("kernels: %w", err)
 	}
-	opt := func(i, def int) int {
-		if i < len(size) {
-			return size[i]
+	max := len(f.sizes[Small])
+	min := max - len(f.opt)
+	if len(size) < min || len(size) > max {
+		if min == max {
+			return nil, fmt.Errorf("kernels: %s takes %d size arguments, got %d", name, min, len(size))
 		}
-		return def
+		return nil, fmt.Errorf("kernels: %s takes %d-%d size arguments, got %d", name, min, max, len(size))
+	}
+	for i, v := range size {
+		if v <= 0 {
+			return nil, fmt.Errorf("kernels: %s size[%d] = %d, must be positive", name, i, v)
+		}
 	}
 	// Several constructors panic on invalid shapes (odd maxpool dims,
 	// non-power-of-two trees); surface those as errors, not crashes.
@@ -35,93 +34,6 @@ func Construct(name string, size []int) (k *Kernel, err error) {
 			k, err = nil, fmt.Errorf("kernels: %s%v: %v", name, size, r)
 		}
 	}()
-	switch name {
-	case "gemm":
-		if err := arity(1, 2); err != nil {
-			return nil, err
-		}
-		return GEMM(size[0], opt(1, 1)), nil
-	case "gemm-unrolled":
-		if err := arity(1, 1); err != nil {
-			return nil, err
-		}
-		return GEMMUnrolledInner(size[0]), nil
-	case "gemm-tree":
-		if err := arity(1, 1); err != nil {
-			return nil, err
-		}
-		return GEMMTree(size[0]), nil
-	case "spmv":
-		if err := arity(1, 2); err != nil {
-			return nil, err
-		}
-		return SPMV(size[0], opt(1, 4)), nil
-	case "spmv-condshift":
-		if err := arity(1, 2); err != nil {
-			return nil, err
-		}
-		return SPMVCondShift(size[0], opt(1, 4)), nil
-	case "bfs":
-		if err := arity(1, 2); err != nil {
-			return nil, err
-		}
-		return BFS(size[0], opt(1, 4)), nil
-	case "bfs-queue":
-		if err := arity(1, 2); err != nil {
-			return nil, err
-		}
-		return BFSQueue(size[0], opt(1, 4)), nil
-	case "fft":
-		if err := arity(1, 1); err != nil {
-			return nil, err
-		}
-		return FFT(size[0]), nil
-	case "md-knn":
-		if err := arity(2, 2); err != nil {
-			return nil, err
-		}
-		return MDKnn(size[0], size[1]), nil
-	case "md-grid":
-		if err := arity(2, 2); err != nil {
-			return nil, err
-		}
-		return MDGrid(size[0], size[1]), nil
-	case "nw":
-		if err := arity(1, 1); err != nil {
-			return nil, err
-		}
-		return NW(size[0]), nil
-	case "conv2d":
-		if err := arity(2, 2); err != nil {
-			return nil, err
-		}
-		return Conv2D(size[0], size[1]), nil
-	case "relu":
-		if err := arity(1, 1); err != nil {
-			return nil, err
-		}
-		return ReLU(size[0]), nil
-	case "maxpool":
-		if err := arity(2, 2); err != nil {
-			return nil, err
-		}
-		return MaxPool(size[0], size[1]), nil
-	case "maxpool-stream":
-		if err := arity(2, 2); err != nil {
-			return nil, err
-		}
-		return MaxPoolStream(size[0], size[1]), nil
-	case "stencil2d":
-		if err := arity(2, 2); err != nil {
-			return nil, err
-		}
-		return Stencil2D(size[0], size[1]), nil
-	case "stencil3d":
-		if err := arity(3, 3); err != nil {
-			return nil, err
-		}
-		return Stencil3D(size[0], size[1], size[2]), nil
-	default:
-		return nil, fmt.Errorf("kernels: unknown kernel family %q", name)
-	}
+	full := append(append([]int(nil), size...), f.opt[len(size)-min:]...)
+	return f.build(full), nil
 }

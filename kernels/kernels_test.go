@@ -1,6 +1,9 @@
 package kernels
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"gosalam/ir"
@@ -44,22 +47,117 @@ func TestAllKernelsMultipleSeeds(t *testing.T) {
 	}
 }
 
+// catalogIR pins what the catalog builds to what the hand-written preset
+// lists built before it: per preset, the All-then-Extras order, each
+// kernel's name, and the first 8 bytes of sha256(ir.Print(k.M)).
+var catalogIR = [numPresets][]struct{ name, ir string }{
+	Small: {
+		{"bfs", "43d7ff4f295e998e"}, {"fft", "065a74288b626212"}, {"gemm", "6890822c3d1fd8c5"},
+		{"md-knn", "9df82595c7ce1ebf"}, {"md-grid", "6c7f343156fcc47f"}, {"nw", "540cf4a5d02e6501"},
+		{"spmv", "5811fbfc697623b6"}, {"stencil2d", "e8a2912712045f09"}, {"stencil3d", "c8819f6c908bace5"},
+		{"spmv-condshift", "907093eb5590b77d"}, {"gemm-unrolled", "1359fa3c4a59f827"}, {"gemm-tree", "915406948b1f5f5f"},
+		{"bfs-queue", "1651d3076f403927"}, {"conv2d", "62bb29ce16f45026"}, {"relu", "71d69054fd46705c"},
+		{"maxpool", "efa30720d285daca"}, {"maxpool-stream", "effb87f4772b0037"},
+	},
+	Default: {
+		{"bfs", "56ac3d6f162f1594"}, {"fft", "c38d0ef0f8d8fc4e"}, {"gemm", "65f2c37e150e9740"},
+		{"md-knn", "d47895301b526dee"}, {"md-grid", "80f9b0e5bcdd7f72"}, {"nw", "5733bceb8ba8fecf"},
+		{"spmv", "4fa4ed8bc8ae5ff4"}, {"stencil2d", "b7dc3ee09f883e2f"}, {"stencil3d", "5d1d0510ff10c56c"},
+		{"spmv-condshift", "c9fdc2a12025d9c7"}, {"gemm-unrolled", "914debc67e099d23"}, {"gemm-tree", "efca4d6807c159e4"},
+		{"bfs-queue", "1651d3076f403927"}, {"conv2d", "c9be79c3ad3fdc9c"}, {"relu", "30a5bb4ab268ddd5"},
+		{"maxpool", "fae1f35743e0b4cf"}, {"maxpool-stream", "d92fee0145c338b7"},
+	},
+	Micro: {
+		{"bfs", "6007429b0acc84e9"}, {"fft", "451b56593a73e191"}, {"gemm", "24c0602397d6e3e1"},
+		{"md-knn", "1bd736f370a33c31"}, {"md-grid", "ff4d6ed0b53ba89b"}, {"nw", "daae72e99db389f9"},
+		{"spmv", "b988cd303ebb7dd8"}, {"stencil2d", "8d89e64ad62c4691"}, {"stencil3d", "fca0ce503a17c805"},
+		{"spmv-condshift", "766cc36b4b6d8eb7"}, {"gemm-unrolled", "767f308aa4fb4382"}, {"gemm-tree", "5ac6a36c6782765c"},
+		{"bfs-queue", "1651d3076f403927"}, {"conv2d", "71ca659a51f9edcf"}, {"relu", "cec2a93b5db9c433"},
+		{"maxpool", "6a366629f720f661"}, {"maxpool-stream", "524dfb0694e3621c"},
+	},
+	Large: {
+		{"bfs", "c8174b874a8dd129"}, {"fft", "528905a994f4c965"}, {"gemm", "b3d0ac08d3ca9c6d"},
+		{"md-knn", "85d5e44bfba03b0e"}, {"md-grid", "8a5f19800418eaf1"}, {"nw", "30272e4da5c914dc"},
+		{"spmv", "5378606a30759bf2"}, {"stencil2d", "90848385f431ff7c"}, {"stencil3d", "37d3fb0cc2447833"},
+		{"spmv-condshift", "65d2bfa8a7c41cbf"}, {"gemm-unrolled", "1467b821061a05b3"}, {"gemm-tree", "e35ebe739343cd33"},
+		{"bfs-queue", "1651d3076f403927"}, {"conv2d", "931b2f1bbad0ffa0"}, {"relu", "6104ec2afab62b27"},
+		{"maxpool", "4a3ad19d9587c65d"}, {"maxpool-stream", "492c0777c57e929a"},
+	},
+}
+
+// TestByName: the catalog builds what the hand-written preset lists built,
+// and resolving one name builds that one kernel, not the preset's list.
 func TestByName(t *testing.T) {
-	if ByName(Small, "gemm") == nil {
-		t.Fatal("gemm missing")
-	}
-	if ByName(Small, "nope") != nil {
+	if _, err := Lookup(Small, "nope"); err == nil || ByName(Small, "nope") != nil {
 		t.Fatal("found nonexistent kernel")
 	}
-	names := map[string]bool{}
-	for _, k := range All(Default) {
-		if names[k.Name] {
-			t.Fatalf("duplicate kernel name %s", k.Name)
-		}
-		names[k.Name] = true
+	if _, err := ParsePreset("tiny", Small); err == nil {
+		t.Fatal("ParsePreset accepted an unknown spelling")
 	}
-	if len(names) != 9 {
-		t.Fatalf("expected 9 MachSuite kernels, got %d", len(names))
+	built := 0 // constructor calls
+	for i := range families {
+		f, build := &families[i], families[i].build
+		f.build = func(s []int) *Kernel { built++; return build(s) }
+		defer func() { f.build = build }()
+	}
+	for p := Small; p < numPresets; p++ {
+		if got, err := ParsePreset(p.String(), Large-p); err != nil || got != p {
+			t.Fatalf("ParsePreset(%q) = %v, %v", p.String(), got, err)
+		}
+		ks := append(All(p), Extras(p)...)
+		if len(All(p)) != 9 || len(ks) != len(catalogIR[p]) {
+			t.Fatalf("%v: %d MachSuite kernels, %d in all; want 9 and %d", p, len(All(p)), len(ks), len(catalogIR[p]))
+		}
+		for i, want := range catalogIR[p] {
+			before := built
+			k := ByName(p, want.name)
+			if built-before != 1 {
+				t.Errorf("%v %s: ByName built %d kernels, want 1", p, want.name, built-before)
+			}
+			for _, k := range []*Kernel{ks[i], k} {
+				sum := sha256.Sum256([]byte(ir.Print(k.M)))
+				if got := hex.EncodeToString(sum[:8]); k.Name != want.name || got != want.ir {
+					t.Errorf("%v[%d] = %s with IR %s, want %s with IR %s", p, i, k.Name, got, want.name, want.ir)
+				}
+			}
+		}
+	}
+}
+
+// TestConstructErrors pins Construct's diagnostics: config files reach
+// them through the size knob.
+func TestConstructErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		size []int
+		want string
+	}{
+		{"gemm", nil, "kernels: gemm takes 1-2 size arguments, got 0"},
+		{"gemm", []int{8, 1, 1}, "kernels: gemm takes 1-2 size arguments, got 3"},
+		{"fft", []int{8, 8}, "kernels: fft takes 1 size arguments, got 2"},
+		{"stencil3d", []int{6, 6}, "kernels: stencil3d takes 3 size arguments, got 2"},
+		{"md-knn", []int{16}, "kernels: md-knn takes 2 size arguments, got 1"},
+		{"spmv", []int{32, 0}, "kernels: spmv size[1] = 0, must be positive"},
+		{"relu", []int{-4}, "kernels: relu size[0] = -4, must be positive"},
+		{"maxpool", []int{3, 4}, "kernels: maxpool[3 4]: kernels: maxpool needs even dims, got 3x4"},
+		{"gemm-tree", []int{6}, "kernels: gemm-tree[6]: kernels: GEMMTree size must be a power of two >= 2"},
+	} {
+		if k, err := Construct(c.name, c.size); err == nil || err.Error() != c.want {
+			t.Errorf("Construct(%s, %v) = %v, %v; want error %q", c.name, c.size, k, err, c.want)
+		}
+	}
+	if _, err := Construct("nope", []int{1}); err == nil || !strings.HasPrefix(err.Error(), `kernels: unknown kernel "nope"`) {
+		t.Errorf("Construct(nope) error = %v", err)
+	}
+	// Optional trailing arguments take the constructor's default, and an
+	// explicit size is a fresh kernel every time.
+	a, err := Construct("bfs", []int{64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := Construct("bfs", []int{64, 4})
+	if ir.Print(a.M) != ir.Print(b.M) || ir.Print(a.M) != ir.Print(ByName(Small, "bfs").M) || a == b {
+		t.Error("bfs[64] is not a fresh bfs[64 4]")
 	}
 }
 

@@ -142,6 +142,31 @@ func DefaultRunOpts() RunOpts {
 	}
 }
 
+// SetPoint overlays one design-space coordinate — the sweep-point rule
+// every front end (campaign spaces, salam analyze, the DSE experiments)
+// shares. ports sets the accelerator's read and write ports and the
+// scratchpad's ports per bank together, with twice as many requests
+// allowed in flight, so memory bandwidth follows the port sweep; fpAdd
+// and fpMul cap the FP adder and multiplier pools. A zero leaves that
+// knob as it is (FP units: dedicated, one per static op).
+func (o *RunOpts) SetPoint(ports, fpAdd, fpMul int) {
+	if ports > 0 {
+		o.Accel.ReadPorts = ports
+		o.Accel.WritePorts = ports
+		o.Accel.MaxOutstanding = 2 * ports
+		o.SPMPortsPer = ports
+	}
+	if fpAdd > 0 || fpMul > 0 {
+		o.Accel.FULimits = map[hw.FUClass]int{}
+		if fpAdd > 0 {
+			o.Accel.FULimits[hw.FUFPAdder] = fpAdd
+		}
+		if fpMul > 0 {
+			o.Accel.FULimits[hw.FUFPMultiplier] = fpMul
+		}
+	}
+}
+
 // Result carries everything a run produced.
 type Result struct {
 	// Cycles is the kernel's accelerator-cycle count.
@@ -294,7 +319,7 @@ func nextPow2(v int) int {
 	return n
 }
 
-// Elaborate exposes static elaboration for tooling (cmd/salam-ll and the
+// Elaborate exposes static elaboration for tooling (salam ll and the
 // experiments). It goes through the shared elaboration cache, so repeated
 // elaborations of the same configuration return the same immutable CDFG.
 func Elaborate(f *ir.Function, profile *hw.Profile, limits map[hw.FUClass]int) (*core.CDFG, error) {

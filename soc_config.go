@@ -24,20 +24,9 @@ import (
 // built-in family at an explicit size, or an external .ll file bound to a
 // built-in workload.
 func kernelFor(c *soccfg.Config, ref *soccfg.KernelRef) (*kernels.Kernel, error) {
-	preset, ok := kernels.Default, true
-	switch ref.Preset {
-	case "", "default":
-	case "small":
-		preset = kernels.Small
-	case "micro":
-		preset = kernels.Micro
-	case "large":
-		preset = kernels.Large
-	default:
-		ok = false
-	}
-	if !ok {
-		return nil, fmt.Errorf("config: unknown preset %q", ref.Preset)
+	preset, err := kernels.ParsePreset(ref.Preset, kernels.Default)
+	if err != nil {
+		return nil, fmt.Errorf("config: %w", err)
 	}
 	switch {
 	case ref.IRFile != "":
@@ -46,9 +35,9 @@ func kernelFor(c *soccfg.Config, ref *soccfg.KernelRef) (*kernels.Kernel, error)
 		if err != nil {
 			return nil, fmt.Errorf("config: ir_file: %w", err)
 		}
-		wk := kernels.ByName(preset, ref.Workload)
-		if wk == nil {
-			return nil, fmt.Errorf("config: workload: unknown kernel %q", ref.Workload)
+		wk, err := kernels.Lookup(preset, ref.Workload)
+		if err != nil {
+			return nil, fmt.Errorf("config: workload: %w", err)
 		}
 		m, err := ir.Parse(filepath.Base(path), string(src))
 		if err != nil {
@@ -62,9 +51,9 @@ func kernelFor(c *soccfg.Config, ref *soccfg.KernelRef) (*kernels.Kernel, error)
 	case len(ref.Size) > 0:
 		return kernels.Construct(ref.Kernel, ref.Size)
 	default:
-		k := kernels.ByName(preset, ref.Kernel)
-		if k == nil {
-			return nil, fmt.Errorf("config: unknown kernel %q", ref.Kernel)
+		k, err := kernels.Lookup(preset, ref.Kernel)
+		if err != nil {
+			return nil, fmt.Errorf("config: %w", err)
 		}
 		return k, nil
 	}
@@ -75,18 +64,10 @@ func applyDevice(d *soccfg.DeviceCfg, cfg *AccelConfig) error {
 	if d.ClockMHz > 0 {
 		cfg.ClockMHz = d.ClockMHz
 	}
-	if d.ReadPorts > 0 {
-		cfg.ReadPorts = d.ReadPorts
-	}
-	if d.WritePorts > 0 {
-		cfg.WritePorts = d.WritePorts
-	}
-	if d.MaxOutstanding > 0 {
-		cfg.MaxOutstanding = d.MaxOutstanding
-	}
-	if d.ResQueue > 0 {
-		cfg.ResQueueSize = d.ResQueue
-	}
+	cfg.ReadPorts = orDefault(d.ReadPorts, cfg.ReadPorts)
+	cfg.WritePorts = orDefault(d.WritePorts, cfg.WritePorts)
+	cfg.MaxOutstanding = orDefault(d.MaxOutstanding, cfg.MaxOutstanding)
+	cfg.ResQueueSize = orDefault(d.ResQueue, cfg.ResQueueSize)
 	if d.PipelineLoops != nil {
 		cfg.PipelineLoops = *d.PipelineLoops
 	}
@@ -124,33 +105,16 @@ func KernelFromConfig(c *soccfg.Config) (*kernels.Kernel, RunOpts, error) {
 	if err := applyDevice(&c.DeviceCfg, &opts.Accel); err != nil {
 		return nil, RunOpts{}, err
 	}
-	switch c.Memory {
-	case "", "spm":
-		opts.Mem = MemSPM
-	case "cache":
+	if c.Memory == "cache" {
 		opts.Mem = MemCache
 	}
-	if c.SPMLatency > 0 {
-		opts.SPMLatency = c.SPMLatency
-	}
-	if c.SPMBanks > 0 {
-		opts.SPMBanks = c.SPMBanks
-	}
-	if c.SPMPorts > 0 {
-		opts.SPMPortsPer = c.SPMPorts
-	}
-	if c.CacheBytes > 0 {
-		opts.CacheBytes = c.CacheBytes
-	}
-	if c.CacheLine > 0 {
-		opts.CacheLine = c.CacheLine
-	}
-	if c.CacheAssoc > 0 {
-		opts.CacheAssoc = c.CacheAssoc
-	}
-	if c.CacheMSHRs > 0 {
-		opts.CacheMSHRs = c.CacheMSHRs
-	}
+	opts.SPMLatency = orDefault(c.SPMLatency, opts.SPMLatency)
+	opts.SPMBanks = orDefault(c.SPMBanks, opts.SPMBanks)
+	opts.SPMPortsPer = orDefault(c.SPMPorts, opts.SPMPortsPer)
+	opts.CacheBytes = orDefault(c.CacheBytes, opts.CacheBytes)
+	opts.CacheLine = orDefault(c.CacheLine, opts.CacheLine)
+	opts.CacheAssoc = orDefault(c.CacheAssoc, opts.CacheAssoc)
+	opts.CacheMSHRs = orDefault(c.CacheMSHRs, opts.CacheMSHRs)
 	return k, opts, nil
 }
 
@@ -191,11 +155,7 @@ func BuildFromConfig(c *soccfg.Config) (*ConfiguredSoC, error) {
 		return nil, err
 	}
 	s := c.SoC
-	dram := s.DRAMMB
-	if dram == 0 {
-		dram = 16
-	}
-	soc := NewSoCXbar(dram, s.XbarWidth)
+	soc := NewSoCXbar(orDefault(s.DRAMMB, 16), s.XbarWidth)
 	out := &ConfiguredSoC{
 		SoC:       soc,
 		Kernels:   map[string]*kernels.Kernel{},
