@@ -2,9 +2,9 @@ package salam_test
 
 // Golden determinism gate for the simulation engine. Every kernel in
 // kernels.All runs at DefaultRunOpts and its cycle count, total tick count,
-// and fired-event count are compared byte-for-byte against the committed
-// golden file. Any engine change that alters the event-level schedule —
-// not just the final answer — trips this test. Regenerate deliberately with
+// fired-event count and per-cycle schedule hash are compared byte-for-byte
+// against the committed golden file. Any engine change that alters the
+// schedule — not just the final answer — trips this test. Regenerate deliberately with
 //
 //	go test -run TestGoldenDeterminism -update-golden
 //
@@ -12,6 +12,8 @@ package salam_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -19,6 +21,7 @@ import (
 	"testing"
 
 	salam "gosalam"
+	"gosalam/internal/core"
 	"gosalam/internal/timeline"
 	"gosalam/kernels"
 )
@@ -27,11 +30,54 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_cy
 
 const goldenPath = "testdata/golden_cycles.json"
 
-// goldenPoint is one kernel's schedule fingerprint.
+// goldenPoint is one kernel's schedule fingerprint. ScheduleSHA is the
+// drift detector for the engine's own schedule: it hashes what issued,
+// what was resident and which hazards fired on every cycle, so an engine
+// change that reorders issue or commit moves it even when the totals
+// survive. EventsFired counts queue events (clock edges and memory-system
+// traffic) and moves whenever work is taken off or put on the queue.
 type goldenPoint struct {
 	Cycles      uint64 `json:"cycles"`
 	Ticks       uint64 `json:"ticks"`
 	EventsFired uint64 `json:"events_fired"`
+	ScheduleSHA string `json:"schedule_sha"`
+}
+
+// goldenProfileCap keeps every cycle of every golden run (the longest is
+// under 2^16 cycles), so ScheduleSHA covers the whole schedule.
+const goldenProfileCap = 1 << 20
+
+// scheduleSHA is the sha256 of the accelerators' per-cycle profiles, in
+// the byte form `salam-sim -profile` writes them.
+func scheduleSHA(t *testing.T, accs ...*core.Accelerator) string {
+	t.Helper()
+	h := sha256.New()
+	for _, a := range accs {
+		p := a.Profile()
+		if p == nil || p.Dropped > 0 {
+			t.Fatalf("%s: per-cycle profile missing or truncated", a.Name())
+		}
+		if err := p.WriteCSV(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// kernelGolden fingerprints one single-accelerator run.
+func kernelGolden(t *testing.T, k *kernels.Kernel, opts salam.RunOpts) goldenPoint {
+	t.Helper()
+	opts.ProfileCycles = goldenProfileCap
+	res, err := salam.RunKernel(k, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", k.Name, err)
+	}
+	return goldenPoint{
+		Cycles:      res.Cycles,
+		Ticks:       uint64(res.Ticks),
+		EventsFired: res.EventsFired,
+		ScheduleSHA: scheduleSHA(t, res.Acc),
+	}
 }
 
 // currentGolden fingerprints every kernel plus the cluster scenario. With
@@ -46,15 +92,7 @@ func currentGolden(t *testing.T, traced bool) []byte {
 		if traced {
 			opts.Timeline = timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown())
 		}
-		res, err := salam.RunKernel(k, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		got[k.Name] = goldenPoint{
-			Cycles:      res.Cycles,
-			Ticks:       uint64(res.Ticks),
-			EventsFired: res.EventsFired,
-		}
+		got[k.Name] = kernelGolden(t, k, opts)
 	}
 	// Clang-emitted fixtures enter the suite under ll/ keys: same
 	// workloads, compiler-shaped IR, separately pinned schedules.
@@ -63,15 +101,7 @@ func currentGolden(t *testing.T, traced bool) []byte {
 		if traced {
 			opts.Timeline = timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown())
 		}
-		res, err := salam.RunKernel(k, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		got[k.Name] = goldenPoint{
-			Cycles:      res.Cycles,
-			Ticks:       uint64(res.Ticks),
-			EventsFired: res.EventsFired,
-		}
+		got[k.Name] = kernelGolden(t, k, opts)
 	}
 	got["cnn-cluster"] = clusterGolden(t, traced)
 	// encoding/json emits map keys sorted, so the bytes are canonical.
@@ -118,6 +148,9 @@ func clusterGolden(t *testing.T, traced bool) goldenPoint {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, n := range []*salam.AccelNode{conv, relu, pool} {
+		n.Acc.EnableProfile(goldenProfileCap)
+	}
 
 	base := shared.Range().Base
 	imgA, wA := base, base+uint64(len(img)*8)
@@ -154,6 +187,7 @@ func clusterGolden(t *testing.T, traced bool) goldenPoint {
 		Cycles:      uint64(end),
 		Ticks:       uint64(soc.Q.Now()),
 		EventsFired: soc.Q.Fired(),
+		ScheduleSHA: scheduleSHA(t, conv.Acc, relu.Acc, pool.Acc),
 	}
 }
 
@@ -205,8 +239,8 @@ func TestGoldenDeterminism(t *testing.T) {
 			continue
 		}
 		if g != w {
-			t.Errorf("%s: got cycles=%d ticks=%d events=%d, want cycles=%d ticks=%d events=%d",
-				name, g.Cycles, g.Ticks, g.EventsFired, w.Cycles, w.Ticks, w.EventsFired)
+			t.Errorf("%s: got cycles=%d ticks=%d events=%d sha=%.12s, want cycles=%d ticks=%d events=%d sha=%.12s",
+				name, g.Cycles, g.Ticks, g.EventsFired, g.ScheduleSHA, w.Cycles, w.Ticks, w.EventsFired, w.ScheduleSHA)
 		}
 	}
 	for name := range gotM {

@@ -33,11 +33,7 @@ func goldenEntries(t *testing.T) map[string]goldenPoint {
 
 func runFP(t *testing.T, k *kernels.Kernel, opts salam.RunOpts) goldenPoint {
 	t.Helper()
-	res, err := salam.RunKernel(k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return goldenPoint{Cycles: res.Cycles, Ticks: uint64(res.Ticks), EventsFired: res.EventsFired}
+	return kernelGolden(t, k, opts)
 }
 
 // The shipped gemm_spm.json is DefaultRunOpts in JSON: its run must hit
@@ -121,6 +117,7 @@ func TestConfigClusterMatchesGolden(t *testing.T) {
 	if !ok {
 		t.Fatal("golden file has no cnn-cluster entry")
 	}
+	wantFP.ScheduleSHA = "" // the config-built run keeps no profiles
 	if got != wantFP {
 		t.Fatalf("config-built SoC diverged from golden: got %+v want %+v", got, wantFP)
 	}
