@@ -34,13 +34,16 @@ analyze-smoke:
 
 # Native-fuzz smoke over the untrusted-input surfaces: malformed CDFG
 # sources through parse -> elaborate -> analyze -> cycle/energy bounds,
-# arbitrary bytes through the .ll parser (parse -> verify -> print), and
+# arbitrary bytes through the .ll parser (parse -> verify -> print),
 # arbitrary bytes through the strict config decoder (parse -> validate ->
-# emit). The contract everywhere is "reject or accept, never panic".
+# emit), and arbitrary bytes through the snapshot decoder (decode -> restore
+# into a fresh session -> run under a cycle bound). The contract everywhere
+# is "reject or accept, never panic" — and for snapshots, never hang.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeReport -fuzztime 5s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz FuzzParseLL -fuzztime 5s ./ir
 	$(GO) test -run '^$$' -fuzz FuzzSoCConfig -fuzztime 5s ./internal/soccfg
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 5s .
 
 # The concurrent subsystems — the campaign engine, the experiments that
 # drive real parallel simulations through it, and the salam-serve service
@@ -49,9 +52,12 @@ race:
 	$(GO) test -race ./internal/campaign/... ./internal/experiments/... ./internal/search/... ./internal/serve/... ./internal/sample/...
 	$(GO) test -race -run 'TestSampled|TestRestore|TestCheckpoint|TestSessionPool' -count=1 .
 
-# Golden determinism guard: simulated cycle counts for the committed
-# kernel set must stay byte-identical to testdata/golden_cycles.json.
-# Perf work on the engine hot paths is only legal when this passes.
+# Golden determinism guard: cycles, ticks, fired events and schedule_sha
+# (the sha256 of every cycle's issue/resident/hazard sample) for the
+# committed kernel set must stay byte-identical to
+# testdata/golden_cycles.json. Perf work on the engine hot paths is only
+# legal when this passes; only a change that moves work on or off the event
+# queue may regenerate events_fired, and then schedule_sha must not move.
 golden:
 	$(GO) test -run TestGoldenDeterminism -count=1 .
 

@@ -32,3 +32,10 @@ func (p *SessionPool) IdleForTest() int {
 	}
 	return n
 }
+
+// ResumeWithin is Resume that gives up with an error once the accelerator
+// has run past maxCycle, so a test of a run that may never finish fails
+// instead of hanging.
+func (s *Session) ResumeWithin(opts RunOpts, maxCycle uint64) (*Result, error) {
+	return s.finish(opts, func() bool { return s.acc.Cycles > maxCycle })
+}

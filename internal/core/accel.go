@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"gosalam/internal/hw"
 	"gosalam/internal/sim"
@@ -99,7 +100,7 @@ type dynOp struct {
 	val   uint64
 
 	// qi is the op's current index in resQ, kept up to date through
-	// compaction so commit-time wakes can lower the ready watermark.
+	// compaction: it is the op's position in the ready and arrived sets.
 	qi int32
 
 	// Memory fields.
@@ -110,15 +111,15 @@ type dynOp struct {
 	// completion, and the op is not recycled until it commits.
 	buf [8]byte
 
-	// arriveFn marks the op arrived and wakes the engine; readDoneFn
-	// additionally captures load data. Both close over the op once, at
-	// first allocation.
+	// arriveFn marks a store arrived; readDoneFn additionally captures load
+	// data. Both close over the op once, at first allocation.
 	arriveFn   func()
 	readDoneFn func([]byte)
 
-	// ev is the pending compute-latency event (issueCompute), kept so a
-	// checkpoint can claim it; it goes stale the moment the event fires.
-	ev sim.EventID
+	// due is the cycle an in-flight compute op commits at (issue cycle plus
+	// latency); nextDue links the ops that share its due-wheel slot.
+	due     uint64
+	nextDue *dynOp
 }
 
 func (d *dynOp) isLoad() bool  { return d.st.Load }
@@ -131,6 +132,29 @@ type defRec struct {
 	val      uint64
 	producer *dynOp
 	live     bool
+}
+
+// qset is a set of reservation-queue indices, one bit per resQ slot.
+type qset []uint64
+
+func (s qset) set(i int32)   { s[i>>6] |= 1 << (i & 63) }
+func (s qset) clear(i int32) { s[i>>6] &^= 1 << (i & 63) }
+
+// next returns the smallest member at or above from, or -1. It reads the
+// set as it is now, so a walk sees members added above its position.
+func (s qset) next(from int) int {
+	w := from >> 6
+	if w >= len(s) {
+		return -1
+	}
+	word := s[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if w++; w == len(s) {
+			return -1
+		}
+		word = s[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // Accelerator is one modeled hardware accelerator: a statically elaborated
@@ -158,12 +182,16 @@ type Accelerator struct {
 	seq      uint64
 	inflight int
 	argBits  []uint64
-	// readyCount tracks resQ entries that are waiting with all operands
-	// resolved; readyLow is a lower bound on the smallest such index. The
-	// issue scan starts at the watermark and skips entirely when nothing
-	// is ready.
-	readyCount int
-	readyLow   int
+	// ready holds the resQ indices of waiting ops whose operands have all
+	// resolved; arrived those of in-flight ops whose result is in and which
+	// commit at the next edge. The tick visits set members only. Both are
+	// maintained at the transitions — fetch, wake, issue, commit, completion
+	// callback, compaction — and are never serialized.
+	ready, arrived qset
+	// wheel threads in-flight compute ops by due cycle: slot due&(len-1),
+	// a power of two above the CDFG's longest latency, so the slot a cycle
+	// drains holds exactly the ops due that cycle.
+	wheel []*dynOp
 	// resident counts non-committed resQ entries (the window-check scan
 	// in handleTerminator reduced to a counter).
 	resident int
@@ -172,10 +200,6 @@ type Accelerator struct {
 	// recordCycleStats never rescans the reservation queue.
 	pendLoads, pendStores, pendComp int
 	inflLoads, inflStores           int
-	// arrivals counts in-flight ops whose completion callback has fired
-	// but which have not yet committed; the commit-phase scan is skipped
-	// when it is zero.
-	arrivals int
 	// zeroLatProgress is set when a zero-latency commit or block fetch
 	// happens inside the issue scan: only those events can unlock earlier
 	// queue entries within the same cycle.
@@ -209,6 +233,7 @@ type Accelerator struct {
 	fuBusy     []int // unpipelined units occupied
 	fuIssued   []int // issue slots used this cycle
 	fuTotal    []int // instantiated units (from CDFG.FUTotal)
+	fuPiped    []bool
 	opStamp    []uint64
 	cycleStamp uint64
 	fetches    int // block fetches this cycle
@@ -257,6 +282,7 @@ func NewAccelerator(name string, q *sim.EventQueue, g *CDFG, cfg AccelConfig,
 		fuBusy:   make([]int, nc),
 		fuIssued: make([]int, nc),
 		fuTotal:  make([]int, nc),
+		fuPiped:  make([]bool, nc),
 		issuedBk: make([]sim.Bucket, nc),
 		occBk:    make([]sim.Bucket, nc),
 	}
@@ -342,14 +368,21 @@ func (a *Accelerator) Reset() {
 	clear(a.fuIssued)
 	for _, c := range hw.AllFUClasses() {
 		a.fuTotal[c] = g.FUTotal[c]
+		a.fuPiped[c] = g.Profile.Spec(c).Pipelined
 	}
+	if n := 1 << bits.Len(uint(g.MaxLatency)); cap(a.wheel) < n {
+		a.wheel = make([]*dynOp, n)
+	} else {
+		a.wheel = a.wheel[:n]
+	}
+	clear(a.wheel)
+	clear(a.ready)
+	clear(a.arrived)
 	a.resQ = a.resQ[:0]
 	a.pendingMem = a.pendingMem[:0]
-	a.seq, a.inflight = 0, 0
-	a.readyCount, a.readyLow, a.resident = 0, 0, 0
+	a.seq, a.inflight, a.resident = 0, 0, 0
 	a.pendLoads, a.pendStores, a.pendComp = 0, 0, 0
 	a.inflLoads, a.inflStores = 0, 0
-	a.arrivals = 0
 	a.zeroLatProgress = false
 	a.hazLoad, a.hazStore, a.hazFU, a.hazOrder = false, false, false, false
 	a.fetchBlocked = false
@@ -384,11 +417,9 @@ func (a *Accelerator) Start(args []uint64) {
 	a.finished = false
 	a.resQ = a.resQ[:0]
 	a.pendingMem = a.pendingMem[:0]
-	a.inflight = 0
-	a.readyCount, a.readyLow, a.resident = 0, 0, 0
+	a.inflight, a.resident = 0, 0
 	a.pendLoads, a.pendStores, a.pendComp = 0, 0, 0
 	a.inflLoads, a.inflStores = 0, 0
-	a.arrivals = 0
 	for i := range a.lastDef {
 		a.lastDef[i] = defRec{}
 	}
@@ -412,11 +443,7 @@ func (a *Accelerator) newDynOp() *dynOp {
 		return d
 	}
 	d := &dynOp{}
-	d.arriveFn = func() {
-		d.arrived = true
-		a.arrivals++
-		a.Activate()
-	}
+	d.arriveFn = func() { a.arrive(d) }
 	d.readDoneFn = func(data []byte) {
 		var bits uint64
 		switch d.size {
@@ -430,11 +457,33 @@ func (a *Accelerator) newDynOp() *dynOp {
 			bits = binary.LittleEndian.Uint64(data)
 		}
 		d.val = bits
-		d.arrived = true
-		a.arrivals++
-		a.Activate()
+		a.arrive(d)
 	}
 	return d
+}
+
+// arrive marks an in-flight op's result as in; it commits at the next edge.
+func (a *Accelerator) arrive(d *dynOp) {
+	d.arrived = true
+	a.arrived.set(d.qi)
+}
+
+// index enters a reservation-queue op into the ready and arrived sets from
+// its own state, for the two places that rebuild them: compaction, Restore.
+func (a *Accelerator) index(d *dynOp) {
+	if d.state == stWaiting && d.waitingOn == 0 {
+		a.ready.set(d.qi)
+	} else if d.state == stInflight && d.arrived {
+		a.arrived.set(d.qi)
+	}
+}
+
+// growSets makes both sets cover n reservation-queue slots.
+func (a *Accelerator) growSets(n int) {
+	for len(a.ready)<<6 < n {
+		a.ready = append(a.ready, 0)
+		a.arrived = append(a.arrived, 0)
+	}
 }
 
 // recycle returns a committed op to the pool. Safe at compaction time: its
@@ -449,7 +498,9 @@ func (a *Accelerator) recycle(d *dynOp) {
 // dynamic dependencies by searching the newest definitions (the paper's
 // upward search of the reservation and in-flight queues).
 func (a *Accelerator) fetch(b *ir.Block, prev *ir.Block) {
-	for _, st := range a.CDFG.BlockOps[b] {
+	ops := a.CDFG.BlockOps[b]
+	a.growSets(len(a.resQ) + len(ops))
+	for _, st := range ops {
 		in := st.In
 		d := a.newDynOp()
 		d.st, d.seq = st, a.seq
@@ -517,10 +568,7 @@ func (a *Accelerator) fetch(b *ir.Block, prev *ir.Block) {
 			a.pendComp++
 		}
 		if d.waitingOn == 0 {
-			a.readyCount++
-			if int(d.qi) < a.readyLow {
-				a.readyLow = int(d.qi)
-			}
+			a.ready.set(d.qi)
 		}
 		if st.Mem {
 			a.pendingMem = append(a.pendingMem, d)
@@ -534,7 +582,7 @@ func (a *Accelerator) commit(d *dynOp) {
 	st := d.st
 	if d.state == stWaiting {
 		// Zero-latency and terminator commits consume a ready entry.
-		a.readyCount--
+		a.ready.clear(d.qi)
 	} else if d.state == stInflight && st.Mem {
 		if st.Store {
 			a.inflStores--
@@ -571,12 +619,7 @@ func (a *Accelerator) commit(d *dynOp) {
 		w.op.pending[w.idx] = false
 		w.op.waitingOn--
 		if w.op.waitingOn == 0 {
-			// The waiter becomes issuable; it can sit below the current
-			// watermark (wakes land at arbitrary queue positions).
-			a.readyCount++
-			if int(w.op.qi) < a.readyLow {
-				a.readyLow = int(w.op.qi)
-			}
+			a.ready.set(w.op.qi) // the waiter becomes issuable
 		}
 	}
 	d.waiters = d.waiters[:0]
@@ -597,7 +640,7 @@ func (a *Accelerator) evaluate(d *dynOp) uint64 {
 	case in.Op.IsCast():
 		return ir.EvalCast(in.Op, in.Args[0].Type(), in.T, ops[0])
 	case in.Op == ir.OpGEP:
-		return ir.EvalGEP(in, ops[0], ops[1:])
+		return ir.EvalGEP(in, d.st.GEPStrides, ops[0], ops[1:])
 	case in.Op == ir.OpPhi:
 		return ops[0]
 	case in.Op == ir.OpSelect:
@@ -694,7 +737,7 @@ func (a *Accelerator) tryIssueMem(d *dynOp) bool {
 			return false // stream empty; retry
 		}
 		d.state = stInflight
-		a.readyCount--
+		a.ready.clear(d.qi)
 		a.inflight++
 		a.inflLoads++
 		return true
@@ -728,7 +771,7 @@ func (a *Accelerator) tryIssueMem(d *dynOp) bool {
 		return false
 	}
 	d.state = stInflight
-	a.readyCount--
+	a.ready.clear(d.qi)
 	a.inflight++
 	a.inflStores++
 	return true
@@ -774,13 +817,19 @@ func (a *Accelerator) issueCompute(d *dynOp) {
 		return
 	}
 	d.state = stInflight
-	a.readyCount--
+	a.ready.clear(d.qi)
 	a.inflight++
-	lat := d.st.Latency
-	// PriBeforeClock: the result is ready when the commit edge runs, so a
-	// latency-L op commits exactly L cycles after issue. The pre-bound
-	// arriveFn keeps latency events allocation-free.
-	d.ev = a.Q.Schedule(a.Q.Now()+a.Clk.CyclesToTicks(uint64(lat)), sim.PriBeforeClock, d.arriveFn)
+	// A latency-L op commits exactly L cycles after issue: the engine ticks
+	// every cycle while it runs, so the cycle counter is the compute queue's
+	// clock and the op waits on the wheel, not on the event queue.
+	d.due = a.Cycles + uint64(d.st.Latency)
+	a.park(d)
+}
+
+// park threads an in-flight compute op onto its due-wheel slot.
+func (a *Accelerator) park(d *dynOp) {
+	slot := &a.wheel[d.due&uint64(len(a.wheel)-1)]
+	d.nextDue, *slot = *slot, d
 }
 
 // handleTerminator evaluates a br/ret, triggering the next block fetch.
@@ -846,44 +895,32 @@ func (a *Accelerator) cycle() bool {
 	a.fetchBlocked = false
 	a.cycLoads, a.cycStores, a.cycFP, a.cycInt, a.cycOther = 0, 0, 0, 0, 0
 
-	// Commit phase: everything whose result arrived since the last edge.
-	// The arrivals counter (bumped by the completion callbacks) bounds the
-	// scan: it is skipped outright on cycles with nothing to commit and
-	// stops at the last arrived op otherwise.
-	for qi := 0; qi < len(a.resQ) && a.arrivals > 0; qi++ {
-		d := a.resQ[qi]
-		if d.state == stInflight && d.arrived {
-			a.inflight--
-			a.arrivals--
-			a.commit(d)
-		}
+	// Commit phase: the compute ops due this cycle join the memory ops
+	// whose response arrived since the last edge, and the arrived set
+	// commits in queue order. Committing adds no arrivals.
+	slot := &a.wheel[a.Cycles&uint64(len(a.wheel)-1)]
+	for d := *slot; d != nil; d = d.nextDue {
+		a.arrive(d)
+	}
+	*slot = nil
+	for qi := a.arrived.next(0); qi >= 0; qi = a.arrived.next(qi + 1) {
+		a.arrived.clear(int32(qi))
+		a.inflight--
+		a.commit(a.resQ[qi])
 	}
 
-	// Issue phase: scan in program order, starting at the ready watermark
-	// (every entry below it is either in flight or awaiting operands). A
-	// rescan is only useful when a zero-latency commit or a block fetch
-	// happened — those are the only same-cycle events that can unlock
-	// earlier queue entries or add new ones; latency-bearing issues commit
-	// at later edges. When nothing is ready the phase is skipped outright.
+	// Issue phase: visit the ready set in program order. A pass picks up
+	// what becomes ready above its position — a fetched block, a waiter
+	// woken by a zero-latency commit — and leaves what becomes ready below
+	// it to a rescan, which is only useful after a zero-latency commit or a
+	// block fetch: latency-bearing issues commit at later edges. An op that
+	// could not issue stays in the set and is tried again by each pass.
 	issued := 0
 	issuedFP := false
-	for rescan := true; rescan && a.readyCount > 0; {
+	for rescan := true; rescan; {
 		a.zeroLatProgress = false
-		for a.readyLow < len(a.resQ) {
-			d := a.resQ[a.readyLow]
-			if d.state == stWaiting && d.waitingOn == 0 {
-				break
-			}
-			a.readyLow++
-		}
-		// readyCount upper-bounds the remaining ready entries: issues and
-		// zero-latency commits keep it exact, so once it reaches zero no
-		// entry above qi can be issuable and the scan can stop early.
-		for qi := a.readyLow; qi < len(a.resQ) && a.readyCount > 0; qi++ {
+		for qi := a.ready.next(0); qi >= 0; qi = a.ready.next(qi + 1) {
 			d := a.resQ[qi]
-			if d.state != stWaiting || d.waitingOn > 0 {
-				continue
-			}
 			st := d.st
 			switch {
 			case st.Term:
@@ -933,15 +970,13 @@ func (a *Accelerator) cycle() bool {
 
 	// Compact committed ops out of the queues: memory list first, then the
 	// reservation queue, where committed ops return to the pool. Surviving
-	// ops get fresh queue indices and the ready watermark is rebuilt.
+	// ops get fresh queue indices and both sets are rebuilt from them.
 	// Compaction is amortized: committed entries linger until they are at
-	// least a quarter of the queue, because every scan (commit, issue,
-	// disambiguation) already skips stDone entries and all architectural
-	// state — window checks, stall classification, profiling — reads the
-	// resident counter, never the queue length. Deferral therefore changes
-	// no simulated behaviour, only when the O(queue) rewrite is paid.
-	// readyLow stays a (possibly stale but valid) lower bound between
-	// compactions; the next issue phase advances it.
+	// least a quarter of the queue, because committed entries are in
+	// neither set, disambiguation skips them, and all architectural state —
+	// window checks, stall classification, profiling — reads the resident
+	// counter, never the queue length. Deferral therefore changes no
+	// simulated behaviour, only when the O(queue) rewrite is paid.
 	if dead := len(a.resQ) - a.resident; dead > 0 && dead*4 >= len(a.resQ) {
 		keptMem := a.pendingMem[:0]
 		for _, d := range a.pendingMem {
@@ -951,23 +986,18 @@ func (a *Accelerator) cycle() bool {
 		}
 		a.pendingMem = keptMem
 		kept := a.resQ[:0]
-		newLow := len(a.resQ)
+		clear(a.ready)
+		clear(a.arrived)
 		for _, d := range a.resQ {
 			if d.state == stDone {
 				a.recycle(d)
 				continue
 			}
 			d.qi = int32(len(kept))
-			if d.state == stWaiting && d.waitingOn == 0 && int(d.qi) < newLow {
-				newLow = int(d.qi)
-			}
+			a.index(d)
 			kept = append(kept, d)
 		}
 		a.resQ = kept
-		if newLow > len(kept) {
-			newLow = len(kept)
-		}
-		a.readyLow = newLow
 	}
 
 	// Cycle-level statistics (Sec. III-C2).
@@ -981,7 +1011,6 @@ func (a *Accelerator) cycle() bool {
 		}
 		a.resQ = a.resQ[:0]
 		a.pendingMem = a.pendingMem[:0]
-		a.readyLow = 0
 		a.running = false
 		kc := a.Cycles - a.startCycle
 		a.KernelCycles.Sample(float64(kc))
@@ -1049,7 +1078,7 @@ func (a *Accelerator) recordCycleStats(issued int, issuedFP bool) {
 	// this cycle; unpipelined units while an op is resident. fuAvailable
 	// keeps fuIssued+fuBusy <= total, so occupancy stays within [0, 1].
 	for c := range a.fuIssued {
-		if n := a.fuIssued[c]; n > 0 && a.CDFG.Profile.Spec(hw.FUClass(c)).Pipelined {
+		if n := a.fuIssued[c]; n > 0 && a.fuPiped[c] {
 			a.incOccupancy(hw.FUClass(c), float64(n))
 		}
 	}

@@ -62,6 +62,7 @@ type StaticOp struct {
 	WritePJ          float64   // register-write energy on commit
 	MemReadPJ        float64   // register-read energy on memory issue
 	ReadPJ           []float64 // per-argument register-read energy
+	GEPStrides       []int64   // byte stride per index operand (GEPs only)
 }
 
 // IsMem reports whether the op uses the memory queues instead of an FU.
@@ -102,6 +103,9 @@ type CDFG struct {
 
 	// NumOps is the number of static ops (dense StaticOp.ID space).
 	NumOps int
+	// MaxLatency is the longest issue-to-commit latency of any op; it sizes
+	// the engine's due-wheel.
+	MaxLatency int
 	// opsByID maps a dense ID back to its static op, so snapshots can
 	// name ops by ID and restores can rebind them.
 	opsByID []*StaticOp
@@ -147,12 +151,18 @@ func Elaborate(f *ir.Function, profile *hw.Profile, limits map[hw.FUClass]int) (
 		}
 	}
 	demand := map[hw.FUClass]int{}
+	// One slab holds every static op, so they cost elaboration one
+	// allocation, not one per instruction (a campaign elaborates per
+	// kernel object it builds, dse_replay included).
+	slab := make([]StaticOp, f.NumInstrs())
+	g.opsByID = make([]*StaticOp, 0, len(slab))
 	for _, b := range f.Blocks {
 		ops := make([]*StaticOp, 0, len(b.Instrs))
 		for _, in := range b.Instrs {
 			class := hw.OpClass(in)
 			spec := profile.Spec(class)
-			op := &StaticOp{
+			op := &slab[g.NumOps]
+			*op = StaticOp{
 				In:        in,
 				Class:     class,
 				Latency:   profile.OpLatency(in),
@@ -167,6 +177,12 @@ func Elaborate(f *ir.Function, profile *hw.Profile, limits map[hw.FUClass]int) (
 				EnergyPJ:  spec.EnergyPJ,
 			}
 			op.FP = op.IsFP()
+			if in.Op == ir.OpGEP {
+				op.GEPStrides = in.GEPStrides()
+			}
+			if op.Latency > g.MaxLatency {
+				g.MaxLatency = op.Latency
+			}
 			g.NumOps++
 			g.opsByID = append(g.opsByID, op)
 			g.Ops[in] = op

@@ -9,9 +9,8 @@ import (
 )
 
 // This file is the core half of checkpoint/restore: the accelerator
-// engine's dynamic state (in-flight dynOps, dependence edges, ready
-// watermarks, per-static-op stamps) and the communications interface's
-// counters. Dynamic ops are captured by reservation-queue index —
+// engine's dynamic state (in-flight dynOps, dependence edges,
+// per-static-op stamps) and the communications interface's counters. Dynamic ops are captured by reservation-queue index —
 // dependence edges (waiters, lastDef producers, pendingMem) all point at
 // live resQ members, so indices fully encode the graph — and static
 // identity is the dense StaticOp ID, valid because restore happens into
@@ -42,13 +41,12 @@ func (c *CommInterface) restore(st *snapshot.Comm) error {
 func (a *Accelerator) Capture() (snapshot.Component, error) {
 	st := &snapshot.Accel{
 		Running: a.running, Finished: a.finished, RetBits: a.retBits,
-		Seq:     a.seq,
-		ArgBits: append([]uint64(nil), a.argBits...),
+		Seq:        a.seq,
+		ArgBits:    append([]uint64(nil), a.argBits...),
 		StartCycle: a.startCycle,
-		Inflight:   a.inflight, Arrivals: a.arrivals, Resident: a.resident,
+		Inflight:   a.inflight, Resident: a.resident,
 		PendLoads: a.pendLoads, PendStores: a.pendStores, PendComp: a.pendComp,
 		InflLoads: a.inflLoads, InflStores: a.inflStores,
-		ReadyCount: a.readyCount, ReadyLow: a.readyLow,
 		FuBusy:     append([]int(nil), a.fuBusy...),
 		OpStamp:    append([]uint64(nil), a.opStamp...),
 		CycleStamp: a.cycleStamp,
@@ -69,9 +67,8 @@ func (a *Accelerator) Capture() (snapshot.Component, error) {
 		for _, w := range d.waiters {
 			sd.Waiters = append(sd.Waiters, snapshot.Waiter{Op: w.op.qi, Idx: int32(w.idx)})
 		}
-		if when, pri, seq, ok := d.ev.Info(); ok {
-			sd.HasEv = true
-			sd.Ev = snapshot.Event{When: uint64(when), Pri: pri, Seq: seq}
+		if d.state == stInflight && !d.st.Mem {
+			sd.Due = d.due
 		}
 		st.Ops = append(st.Ops, sd)
 	}
@@ -91,10 +88,10 @@ func (a *Accelerator) Capture() (snapshot.Component, error) {
 }
 
 // Restore rewinds a node — freshly Reset against the same CDFG and config
-// — into a captured state, re-inserting pending compute latency events
-// with their historical coordinates. In-flight
-// memory requests are rebuilt separately via RebuildRequest as the memory
-// system restores its queues, so the node itself resolves none.
+// — into a captured state. The ready and arrived sets and the due-wheel are
+// rebuilt from the ops' own state. In-flight memory requests are rebuilt
+// separately via RebuildRequest as the memory system restores its queues,
+// so the node itself resolves none.
 func (a *Accelerator) Restore(c *snapshot.Component, _ mem.Resolver) error {
 	st := c.Accel
 	if st == nil || c.Comm == nil {
@@ -111,16 +108,18 @@ func (a *Accelerator) Restore(c *snapshot.Component, _ mem.Resolver) error {
 	a.seq = st.Seq
 	a.argBits = append(a.argBits[:0], st.ArgBits...)
 	a.startCycle = st.StartCycle
-	a.inflight, a.arrivals, a.resident = st.Inflight, st.Arrivals, st.Resident
+	a.inflight, a.resident = st.Inflight, st.Resident
 	a.pendLoads, a.pendStores, a.pendComp = st.PendLoads, st.PendStores, st.PendComp
 	a.inflLoads, a.inflStores = st.InflLoads, st.InflStores
-	a.readyCount, a.readyLow = st.ReadyCount, st.ReadyLow
 	copy(a.fuBusy, st.FuBusy)
 	copy(a.opStamp, st.OpStamp)
 	a.cycleStamp = st.CycleStamp
 
-	// Pass 1: materialize every dynamic op with its scalar state.
+	// Pass 1: materialize every dynamic op with its scalar state, entering
+	// it into the sets and, for a compute op in flight, onto the wheel.
 	a.resQ = a.resQ[:0]
+	a.growSets(len(st.Ops))
+	now, reach := c.Clk.Cycles, uint64(g.MaxLatency)
 	for qi, sd := range st.Ops {
 		if int(sd.StaticID) < 0 || int(sd.StaticID) >= g.NumOps {
 			return fmt.Errorf("core: %s: image op %d names static op %d of %d", a.Name(), qi, sd.StaticID, g.NumOps)
@@ -138,11 +137,18 @@ func (a *Accelerator) Restore(c *snapshot.Component, _ mem.Resolver) error {
 		d.addr, d.size = sd.Addr, int(sd.Size)
 		d.arrived = sd.Arrived
 		d.buf = sd.Buf
-		d.ev = sim.EventID{}
 		a.resQ = append(a.resQ, d)
+		if d.state == stInflight && !d.st.Mem {
+			// A compute op arrives only by coming due, within the wheel's reach.
+			if sd.Arrived || sd.Due <= now || sd.Due-now > reach {
+				return fmt.Errorf("core: %s: image op %d is due at cycle %d (arrived: %v), outside (%d, %d]", a.Name(), qi, sd.Due, sd.Arrived, now, now+reach)
+			}
+			d.due = sd.Due
+			a.park(d)
+		}
+		a.index(d)
 	}
-	// Pass 2: rebuild dependence edges and pending latency events, now
-	// that queue indices resolve.
+	// Pass 2: rebuild dependence edges, now that queue indices resolve.
 	for qi, sd := range st.Ops {
 		d := a.resQ[qi]
 		for _, w := range sd.Waiters {
@@ -150,9 +156,6 @@ func (a *Accelerator) Restore(c *snapshot.Component, _ mem.Resolver) error {
 				return fmt.Errorf("core: %s: image op %d waiter names resQ[%d]", a.Name(), qi, w.Op)
 			}
 			d.waiters = append(d.waiters, waiter{op: a.resQ[w.Op], idx: int(w.Idx)})
-		}
-		if sd.HasEv {
-			d.ev = a.Q.ScheduleRestored(sd.Ev, d.arriveFn)
 		}
 	}
 	a.pendingMem = a.pendingMem[:0]

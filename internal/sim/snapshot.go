@@ -43,9 +43,9 @@ func (q *EventQueue) ForEachPending(f func(when Tick, pri int32, seq uint64, obj
 }
 
 // RestoreAt rewinds a freshly Reset (empty) queue to a captured logical
-// position. Subsequent ScheduleRestored calls re-insert the pending
-// events; new Schedule calls continue the sequence from seq exactly as
-// the original run would have.
+// position. Subsequent ScheduleRestoredObj and RestoreClock calls
+// re-insert the pending events; new Schedule calls continue the sequence
+// from seq exactly as the original run would have.
 func (q *EventQueue) RestoreAt(now Tick, seq, fired uint64) {
 	if len(q.order) != 0 {
 		panic("sim: RestoreAt on a queue with pending events")
@@ -70,11 +70,6 @@ func (q *EventQueue) scheduleRestored(when Tick, pri int, seq uint64, fn func(),
 	q.order = append(q.order, idx)
 	q.siftUp(len(q.order) - 1)
 	return EventID{q: q, slot: idx, gen: s.gen}
-}
-
-// ScheduleRestored re-inserts a captured closure event.
-func (q *EventQueue) ScheduleRestored(ev snapshot.Event, fn func()) EventID {
-	return q.scheduleRestored(Tick(ev.When), int(ev.Pri), ev.Seq, fn, nil)
 }
 
 // ScheduleRestoredObj re-inserts a captured Firer event.

@@ -2,7 +2,7 @@
 // format for full SoC dynamic state: the event queue's logical pending
 // set, backing-store bytes, device state (SPM/cache/DRAM queues, MSHRs,
 // stream buffers, MMRs), per-accelerator CDFG progress (in-flight dynOps,
-// ready watermarks, opStamp arrays), and the statistics tree.
+// opStamp arrays), and the statistics tree.
 //
 // The package is a leaf: plain state structs plus an Image envelope, with
 // no simulator imports. Devices in sim/mem/core exchange these structs
@@ -81,7 +81,7 @@ type Clock struct {
 
 // Stat kinds inside a Group.
 const (
-	StatScalar       uint8 = iota + 1
+	StatScalar uint8 = iota + 1
 	StatVector
 	StatDistribution
 	StatFormula
@@ -181,8 +181,8 @@ type Waiter struct {
 
 // DynOp is one in-flight dynamic operation in the reservation queue.
 // Static identity is the dense StaticOp ID; dependences are encoded as
-// queue indices. HasEv marks a compute op whose latency event is pending
-// (memory ops complete through captured Reqs instead).
+// queue indices. Due is the cycle an in-flight compute op commits at, zero
+// for every other op (memory ops complete through captured Reqs instead).
 type DynOp struct {
 	StaticID  int32
 	Seq       uint64
@@ -196,8 +196,7 @@ type DynOp struct {
 	Size      int32
 	Arrived   bool
 	Buf       [8]byte
-	HasEv     bool
-	Ev        Event
+	Due       uint64
 }
 
 // Def is one last-definition record: the newest value (or in-flight
@@ -218,11 +217,9 @@ type Accel struct {
 	ArgBits                         []uint64
 	StartCycle                      uint64
 	Inflight                        int
-	Arrivals                        int
 	Resident                        int
 	PendLoads, PendStores, PendComp int
 	InflLoads, InflStores           int
-	ReadyCount, ReadyLow            int
 	FuBusy                          []int
 	OpStamp                         []uint64
 	CycleStamp                      uint64
@@ -246,21 +243,13 @@ type Component struct {
 }
 
 // Claims counts the pending events this component's state accounts for:
-// its armed clock tick plus the compute-latency arrival of every in-flight
-// dynamic op. Checkpoint sums these against the queue's pending total.
+// its armed clock tick. Checkpoint sums these against the queue's pending
+// total.
 func (c *Component) Claims() int {
-	n := 0
 	if c.Clk.Armed {
-		n++
+		return 1
 	}
-	if c.Accel != nil {
-		for i := range c.Accel.Ops {
-			if c.Accel.Ops[i].HasEv {
-				n++
-			}
-		}
-	}
-	return n
+	return 0
 }
 
 // Image is one complete checkpoint: the shared queue/space/stats triple,
@@ -286,7 +275,7 @@ type Image struct {
 var magic = [4]byte{'G', 'S', 'N', 'P'}
 
 // Version is the image format version. Decode rejects other versions.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // Encode serializes the image. Encoding the same logical state always
 // produces the same bytes: the payload is a gob stream of a fixed struct

@@ -13,7 +13,7 @@ func testImage() *Image {
 	return &Image{
 		Kind:  KindSession,
 		Key:   "k:test",
-		Queue: Queue{Now: 12345, Seq: 678, Fired: 600, Pending: 4},
+		Queue: Queue{Now: 12345, Seq: 678, Fired: 600, Pending: 3},
 		Space: []byte{1, 2, 3, 4, 5},
 		Stats: Group{
 			Name: "root",
@@ -46,7 +46,7 @@ func testImage() *Image {
 						StaticID: 4, Seq: 16, Operands: []uint64{8, 9},
 						Pending: []bool{false, true}, WaitingOn: 1,
 						Waiters: []Waiter{{Op: 1, Idx: 0}}, State: 1,
-						HasEv: true, Ev: Event{When: 1100, Pri: 5, Seq: 56},
+						Due: 102,
 					}},
 					PendingMem: []int32{0},
 					LastDef:    []Def{{Val: 3, Producer: -1, Live: true}},
@@ -78,11 +78,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Queue != img.Queue || got.Kind != img.Kind || got.Key != img.Key {
 		t.Fatalf("decoded header mismatch: %+v", got.Queue)
 	}
-	if got.Comps[3].Accel.Ops[0].Ev != img.Comps[3].Accel.Ops[0].Ev {
-		t.Fatalf("dynOp event mismatch: %+v", got.Comps[3].Accel.Ops[0].Ev)
+	if got.Comps[3].Accel.Ops[0].Due != img.Comps[3].Accel.Ops[0].Due {
+		t.Fatalf("dynOp due cycle mismatch: %d", got.Comps[3].Accel.Ops[0].Due)
 	}
-	// The image's claims — armed clocks, op arrivals, scheduled requests —
-	// are exactly its recorded pending events.
+	// The image's claims — armed clocks and scheduled requests — are
+	// exactly its recorded pending events.
 	claimed := len(got.Sched)
 	for i := range got.Comps {
 		claimed += got.Comps[i].Claims()
@@ -136,7 +136,7 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), full...)
-	bad[4] ^= 0x01 // version low byte
+	binary.LittleEndian.PutUint16(bad[4:6], 2) // the previous format
 	// Re-seal with a valid checksum so the version check, not the CRC,
 	// is what trips.
 	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.ChecksumIEEE(bad[:len(bad)-4]))

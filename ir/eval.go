@@ -209,10 +209,11 @@ func EvalCall(callee string, t Type, args []uint64) uint64 {
 	panic(fmt.Sprintf("ir: unknown intrinsic %q on %s", callee, t))
 }
 
-// EvalGEP computes the byte address of a GEP given the base address and
-// index operand bits. Index operands are treated as signed.
-func EvalGEP(i *Instr, base uint64, idxBits []uint64) uint64 {
-	strides := i.GEPStrides()
+// EvalGEP computes the byte address of a GEP given its strides
+// (i.GEPStrides(), which callers compute once per instruction, not per
+// evaluation), the base address and the index operand bits. Index operands
+// are treated as signed.
+func EvalGEP(i *Instr, strides []int64, base uint64, idxBits []uint64) uint64 {
 	addr := int64(base)
 	for k, s := range strides {
 		idx := SignExt(i.Args[k+1].Type(), idxBits[k])

@@ -187,12 +187,13 @@ func TestEvalGEP(t *testing.T) {
 	gep := b.GEP(arr, "p", f.Params[1], f.Params[2])
 	b.Ret(nil)
 	// a[i][j] = base + i*80 + j*8
-	addr := EvalGEP(gep, 1000, []uint64{2, 3})
+	strides := gep.GEPStrides()
+	addr := EvalGEP(gep, strides, 1000, []uint64{2, 3})
 	if addr != 1000+2*80+3*8 {
 		t.Fatalf("gep addr = %d", addr)
 	}
 	// Negative index.
-	addr = EvalGEP(gep, 1000, []uint64{^uint64(0), 0}) // i = -1
+	addr = EvalGEP(gep, strides, 1000, []uint64{^uint64(0), 0}) // i = -1
 	if addr != 1000-80 {
 		t.Fatalf("gep negative addr = %d", addr)
 	}

@@ -177,6 +177,7 @@ func Exec(f *Function, args []uint64, mem *FlatMem, opts *ExecOpts) (uint64, Exe
 		env[p] = args[i]
 	}
 	stats := ExecStats{BlockVisits: make(map[*Block]uint64)}
+	gepStrides := map[*Instr][]int64{}
 	eval := func(v Value) uint64 {
 		if bits, ok := ConstBits(v); ok {
 			return bits
@@ -252,7 +253,12 @@ func Exec(f *Function, args []uint64, mem *FlatMem, opts *ExecOpts) (uint64, Exe
 				for k := 1; k < len(in.Args); k++ {
 					idx[k-1] = eval(in.Args[k])
 				}
-				env[in] = EvalGEP(in, eval(in.Args[0]), idx)
+				strides, ok := gepStrides[in]
+				if !ok {
+					strides = in.GEPStrides()
+					gepStrides[in] = strides
+				}
+				env[in] = EvalGEP(in, strides, eval(in.Args[0]), idx)
 				ev.Val = env[in]
 			case in.Op == OpLoad:
 				addr := eval(in.Args[0])

@@ -173,9 +173,11 @@ type Result struct {
 	Cycles uint64
 	// Ticks is total simulated time.
 	Ticks sim.Tick
-	// EventsFired is the total number of simulation events executed — a
-	// fingerprint of the whole event-level schedule, used by the golden
-	// determinism test to catch engine drift that happens to preserve the
+	// EventsFired is the total number of event-queue events executed:
+	// clock edges and memory-system events. The engine's own schedule —
+	// what issued and committed on which cycle — never reaches the queue,
+	// so the golden file's schedule_sha (a hash of the per-cycle profile),
+	// not this count, is what detects engine drift that preserves the
 	// final cycle count.
 	EventsFired uint64
 	// Power is the full power/area report over the kernel's runtime.

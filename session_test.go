@@ -176,3 +176,28 @@ func TestElabCacheSharesCDFG(t *testing.T) {
 		t.Fatalf("hit counter moved %d -> %d, want +1", h0, h1)
 	}
 }
+
+// TestWarmRunAllocs guards the steady-state engine: a warm GEMM Session.Run
+// allocates for the run's bookkeeping (result, workload instance, power
+// report) and nothing per cycle, per dynamic op or per queue slot. A
+// per-evaluation allocation — the GEP stride slice was one — costs
+// thousands here.
+func TestWarmRunAllocs(t *testing.T) {
+	k := kernels.GEMM(8, 1)
+	opts := salam.DefaultRunOpts()
+	s, err := salam.NewSession(k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := s.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // cold: grows the op pool, the sets and the event arena
+	allocs := testing.AllocsPerRun(5, run)
+	t.Logf("warm GEMM run: %.0f allocs", allocs)
+	if allocs > 32 {
+		t.Fatalf("warm GEMM run allocates %.0f times, want at most 32", allocs)
+	}
+}

@@ -235,6 +235,81 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
+// engineState returns the image's accelerator component.
+func engineState(t *testing.T, img *snapshot.Image) *snapshot.Component {
+	t.Helper()
+	for i := range img.Comps {
+		if img.Comps[i].Accel != nil {
+			return &img.Comps[i]
+		}
+	}
+	t.Fatal("image has no accelerator component")
+	return nil
+}
+
+// TestRestoreWithOpsOnTheWheel: in-flight compute ops live on the engine's
+// due-wheel, which an image records only as each op's due cycle. A restore
+// at every cycle of a stretch of GEMM's steady state — whatever mix of due
+// cycles the wheel holds — must finish exactly like the straight run, and
+// an op due outside the wheel's reach, which would never commit, is refused.
+func TestRestoreWithOpsOnTheWheel(t *testing.T) {
+	k := kernels.GEMM(8, 1)
+	opts := salam.DefaultRunOpts()
+	straight, err := salam.RunKernel(k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc []byte
+	for c := straight.Cycles / 2; c < straight.Cycles/2+8; c++ {
+		res, img := splitRun(t, k, opts, c)
+		if got, want := pointOf(res), pointOf(straight); got != want {
+			t.Fatalf("restore at cycle %d: %+v != straight run %+v", c, got, want)
+		}
+		dues := map[uint64]bool{}
+		for _, op := range engineState(t, img).Accel.Ops {
+			if op.Due != 0 {
+				dues[op.Due] = true
+			}
+		}
+		if len(dues) >= 2 && enc == nil {
+			if enc, err = img.Encode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if enc == nil {
+		t.Fatal("no checkpoint caught compute ops due at two different cycles")
+	}
+
+	for _, tc := range []struct {
+		name string
+		due  func(now uint64) uint64
+	}{
+		{"already past", func(now uint64) uint64 { return now }},
+		{"beyond the longest latency", func(now uint64) uint64 { return now + 1000 }},
+		{"unset", func(uint64) uint64 { return 0 }},
+	} {
+		img, err := snapshot.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp := engineState(t, img)
+		for i := range comp.Accel.Ops {
+			if comp.Accel.Ops[i].Due != 0 {
+				comp.Accel.Ops[i].Due = tc.due(comp.Clk.Cycles)
+				break
+			}
+		}
+		s, err := salam.NewSession(k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(opts, img); err == nil || !strings.Contains(err.Error(), "due") {
+			t.Fatalf("compute op %s: restore returned %v, want a due-cycle error", tc.name, err)
+		}
+	}
+}
+
 // TestCheckpointRequiresRunInProgress: checkpointing an idle session is a
 // clean error, not a garbage image.
 func TestCheckpointRequiresRunInProgress(t *testing.T) {

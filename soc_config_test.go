@@ -31,11 +31,6 @@ func goldenEntries(t *testing.T) map[string]goldenPoint {
 	return m
 }
 
-func runFP(t *testing.T, k *kernels.Kernel, opts salam.RunOpts) goldenPoint {
-	t.Helper()
-	return kernelGolden(t, k, opts)
-}
-
 // The shipped gemm_spm.json is DefaultRunOpts in JSON: its run must hit
 // the committed golden "gemm" entry byte for byte.
 func TestConfigGemmSPMMatchesGolden(t *testing.T) {
@@ -47,7 +42,7 @@ func TestConfigGemmSPMMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runFP(t, k, opts)
+	got := kernelGolden(t, k, opts)
 	want, ok := goldenEntries(t)["gemm"]
 	if !ok {
 		t.Fatal("golden file has no gemm entry")
@@ -69,14 +64,14 @@ func TestConfigFlatMatchesGoBuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := runFP(t, k, opts)
+		got := kernelGolden(t, k, opts)
 
 		ref := salam.DefaultRunOpts()
 		ref.Mem = salam.MemCache
 		ref.CacheBytes = 4096
 		ref.CacheLine = 64
 		ref.CacheAssoc = 2
-		want := runFP(t, kernels.ByName(kernels.Small, "gemm"), ref)
+		want := kernelGolden(t, kernels.ByName(kernels.Small, "gemm"), ref)
 		if got != want {
 			t.Fatalf("config run diverged from Go-built: got %+v want %+v", got, want)
 		}
@@ -90,7 +85,7 @@ func TestConfigFlatMatchesGoBuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := runFP(t, k, opts)
+		got := kernelGolden(t, k, opts)
 
 		ref := salam.DefaultRunOpts()
 		ref.Accel.FULimits = map[hw.FUClass]int{
@@ -98,7 +93,7 @@ func TestConfigFlatMatchesGoBuilt(t *testing.T) {
 			hw.FUFPMultiplier: 2,
 			hw.FUFPDivider:    1,
 		}
-		want := runFP(t, kernels.ByName(kernels.Small, "md-knn"), ref)
+		want := kernelGolden(t, kernels.ByName(kernels.Small, "md-knn"), ref)
 		if got != want {
 			t.Fatalf("config run diverged from Go-built: got %+v want %+v", got, want)
 		}
