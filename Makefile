@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build check bench-all bench-campaign loc
+.PHONY: all build test race vet vet-sim analyze-smoke fuzz-smoke golden trace-smoke serve-smoke search-smoke dse-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build check bench-all bench-campaign loc
 
 all: check
 
@@ -82,6 +82,24 @@ serve-smoke:
 search-smoke:
 	$(GO) test -run TestSearchExactFrontier -count=1 ./internal/search
 
+# salam-dse smoke: for every capture testdata/dse/<document>.<mode>, the
+# binary run on configs/spaces/<document>.json prints the captured stdout
+# byte for byte. Modes: sweep.csv is the default (pruned) sweep CSV,
+# rows.ndjson is `-no-prune -json`, search.csv is `-search`.
+dse-smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	$(GO) build -o $$dir/salam-dse ./cmd/salam-dse || exit 1; \
+	for want in testdata/dse/*; do \
+		name=$$(basename $$want); \
+		case $${name#*.} in \
+			sweep.csv) flags= ;; \
+			rows.ndjson) flags="-no-prune -json" ;; \
+			search.csv) flags=-search ;; \
+			*) echo "dse-smoke: unknown capture $$want"; exit 1 ;; \
+		esac; \
+		$$dir/salam-dse -quiet $$flags -space configs/spaces/$${name%%.*}.json 2>/dev/null | cmp - $$want || exit 1; \
+	done
+
 # Snapshot smoke: restore-then-run must be byte-identical to straight-run
 # over the full golden kernel set (the restore-exactness CI gate), and
 # checkpoint images must survive a Checkpoint -> Restore -> Checkpoint
@@ -129,7 +147,7 @@ bench-smoke:
 bench-build:
 	cd bench && $(GO) vet .
 
-check: build vet vet-sim test race golden trace-smoke serve-smoke search-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build analyze-smoke fuzz-smoke
+check: build vet vet-sim test race golden trace-smoke serve-smoke search-smoke dse-smoke snapshot-smoke sample-smoke config-smoke ll-smoke bench-smoke bench-build analyze-smoke fuzz-smoke
 
 # Every benchmark in the suite, one iteration each.
 bench-all:

@@ -243,34 +243,6 @@ func BenchmarkDSECampaign(b *testing.B) {
 	})
 }
 
-// BenchmarkDSECampaignPruned: the same sweep with static lower-bound
-// pruning (campaign.StaticPrune). The delta against
-// BenchmarkDSECampaign/workers-1 is the wall-clock the static analyzer
-// saves by skipping provably dominated design points; the surviving
-// points' metrics and the sweep's best point are identical by construction
-// (TestStaticPrunePreservesBestPoint).
-func BenchmarkDSECampaignPruned(b *testing.B) {
-	b.ReportAllocs()
-	pruned := 0
-	for i := 0; i < b.N; i++ {
-		out := campaign.Run(context.Background(),
-			campaign.Config{Workers: 1, Prune: campaign.StaticPrune}, buildDSESweep())
-		if err := campaign.FirstError(out); err != nil {
-			b.Fatal(err)
-		}
-		pruned = 0
-		for _, o := range out {
-			if o.Pruned {
-				pruned++
-			}
-		}
-	}
-	if pruned == 0 {
-		b.Fatal("pruning eliminated nothing; the benchmark measures nothing")
-	}
-	b.ReportMetric(float64(pruned), "points-pruned")
-}
-
 // BenchmarkDSESearch: the tentpole quantity — prove the exact Pareto
 // frontier of a million-point ranged GEMM space (1000 FU limits × 100 port
 // widths × 10 bank counts) by branch-and-bound instead of sweeping it.

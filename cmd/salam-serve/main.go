@@ -29,7 +29,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -41,7 +40,6 @@ import (
 
 	"gosalam/internal/campaign"
 	"gosalam/internal/serve"
-	"gosalam/internal/soccfg"
 )
 
 // parseShard parses "k/n" into a Shard.
@@ -94,18 +92,9 @@ func main() {
 		if *storeDir == "" || *spacePath == "" {
 			fail(fmt.Errorf("-merge needs -store and -space"))
 		}
-		var data []byte
-		if *spacePath == "-" {
-			data, err = io.ReadAll(os.Stdin)
-		} else {
-			data, err = os.ReadFile(*spacePath)
-		}
+		space, err := campaign.LoadSpace(*spacePath)
 		if err != nil {
 			fail(err)
-		}
-		var space campaign.Space
-		if err := soccfg.Unmarshal(data, &space); err != nil {
-			fail(fmt.Errorf("decoding %s: %w", *spacePath, err))
 		}
 		store, err := campaign.OpenCache(*storeDir)
 		if err != nil {

@@ -20,14 +20,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
 
 	salam "gosalam"
 	"gosalam/internal/sim"
-	"gosalam/internal/timeline"
 	"gosalam/kernels"
 )
 
@@ -95,14 +93,6 @@ type Outcome struct {
 	// ran and Metrics is nil; MergeRows (or salam-serve -merge) reassembles
 	// the full sweep from the shared store afterwards.
 	Skipped bool
-	// Pruned marks a job skipped by static lower-bound pruning: its
-	// provable cycle bound already exceeded a measured sibling, so its
-	// dynamic result could not have been the best point. No simulation
-	// ran and Metrics is nil.
-	Pruned bool
-	// StaticLB is the provable cycle-count lower bound Config.Prune
-	// reported for this job (0 when pruning is off or no bound exists).
-	StaticLB uint64
 	// Wall is the job's wall-clock time on the worker.
 	Wall time.Duration
 }
@@ -141,7 +131,8 @@ type Config struct {
 	// goroutine (nil = silent). Events arrive in completion order.
 	Progress Reporter
 	// Stats, when non-nil, gets a "campaign" child group with job
-	// counters wired into the existing sim stats framework.
+	// counters wired into the existing sim stats framework. Runs that
+	// share one group add into the same counters.
 	Stats *sim.Group
 	// Runner overrides the simulation function (nil = warm-start pooled
 	// sessions, or salam.RunKernelCtx when ColdStart is set).
@@ -155,14 +146,6 @@ type Config struct {
 	// nil creates a pool scoped to the Run call. Ignored with ColdStart
 	// or a custom Runner.
 	Sessions *salam.SessionPool
-	// TraceBest, when non-empty, re-runs the sweep's best design point —
-	// lowest cycle count among successful outcomes, earliest index on ties
-	// — after the campaign with timeline tracing attached, and writes the
-	// Perfetto-loadable trace_event JSON to this path. The re-run is a cold
-	// one-shot (pooled sessions are untouched) and, because tracing is
-	// observer-effect-free, reproduces the sweep's metrics exactly. A trace
-	// failure degrades to a Progress warning, not a campaign error.
-	TraceBest string
 	// Shard, when non-nil, restricts this Run to the jobs it owns: a job
 	// is simulated only when its content-addressed key (JobKey) maps to
 	// Shard.Index under ShardOf; every other job resolves immediately with
@@ -170,31 +153,13 @@ type Config struct {
 	// (Index, Count), so n processes configured as shards 0..n-1 over one
 	// job list partition it exactly — zero duplicated simulation — and a
 	// shared Store plus MergeRows reassembles the full sweep byte-
-	// identically. Combined with Prune, the pilot is elected over the FULL
-	// job list (a pure function of job content), so every shard prunes
-	// against the same measurement and the union of owned rows stays
-	// byte-identical to an unsharded pruned run; a shard that does not own
-	// the pilot still simulates it once for the measurement (a cache hit
-	// when another shard persisted it first), which is the one permitted
-	// duplication.
+	// identically.
 	Shard *Shard
 	// Drain, when non-nil, is a soft stop: once it is closed, jobs not yet
 	// handed to a worker resolve with ErrDrained while in-flight jobs run
 	// to completion (and persist to the cache) — the graceful-shutdown
 	// half of the ctx story, which by contrast cancels in-flight work too.
 	Drain <-chan struct{}
-	// Prune, when non-nil, maps a job to a provable lower bound on its
-	// simulated cycle count (ok=false when no bound is available; such
-	// jobs always run). Before the pool starts, the job with the smallest
-	// bound runs first — the pilot — and every job whose bound strictly
-	// exceeds the pilot's measured cycles is skipped with Outcome.Pruned
-	// set: its dynamic result is provably worse than an already-measured
-	// point, so the sweep's best point is unchanged. The pilot choice and
-	// the pruned set depend only on the bounds and the deterministic
-	// pilot result, never on worker scheduling, so pruned sweeps render
-	// byte-identical output at any worker count. StaticPrune is the
-	// standard hook.
-	Prune func(Job) (lb uint64, ok bool)
 }
 
 func (c Config) workers() int {
@@ -258,28 +223,38 @@ func (c Config) runner() (run jobRunner, pool *salam.SessionPool, transient bool
 type counters struct {
 	total, ok, failed, cached *sim.Scalar
 	reused, built             *sim.Scalar
-	pruned, skipped           *sim.Scalar
-	simulated                 *sim.Scalar
+	skipped, simulated        *sim.Scalar
 	wallMS                    *sim.Distribution
 }
 
+// newCounters registers the counters in root's "campaign" group, or
+// returns the ones an earlier Run over the same group registered.
 func newCounters(root *sim.Group) *counters {
 	if root == nil {
 		return nil
 	}
 	g := root.Child("campaign")
-	return &counters{
-		total:     g.Scalar("jobs", "jobs submitted"),
-		ok:        g.Scalar("jobs_ok", "jobs completed successfully"),
-		failed:    g.Scalar("jobs_failed", "jobs that errored, panicked, or timed out"),
-		cached:    g.Scalar("jobs_cached", "jobs served from the result cache"),
-		reused:    g.Scalar("sessions_reused", "warm-start runs on a pooled system"),
-		built:     g.Scalar("sessions_built", "runs that had to build a system"),
-		pruned:    g.Scalar("points_pruned", "design points skipped by static lower-bound pruning"),
-		skipped:   g.Scalar("points_skipped", "design points owned by another shard"),
-		simulated: g.Scalar("jobs_simulated", "jobs that actually ran a simulation (not cached, pruned, or skipped)"),
-		wallMS:    g.Distribution("job_wall_ms", "per-job wall-clock (ms)"),
+	scalar := func(name, desc string) *sim.Scalar {
+		if s, ok := g.Stat(name).(*sim.Scalar); ok {
+			return s
+		}
+		return g.Scalar(name, desc)
 	}
+	c := &counters{
+		total:     scalar("jobs", "jobs submitted"),
+		ok:        scalar("jobs_ok", "jobs completed successfully"),
+		failed:    scalar("jobs_failed", "jobs that errored, panicked, or timed out"),
+		cached:    scalar("jobs_cached", "jobs served from the result cache"),
+		reused:    scalar("sessions_reused", "warm-start runs on a pooled system"),
+		built:     scalar("sessions_built", "runs that had to build a system"),
+		skipped:   scalar("points_skipped", "design points owned by another shard"),
+		simulated: scalar("jobs_simulated", "jobs that actually ran a simulation (not cached or skipped)"),
+	}
+	var ok bool
+	if c.wallMS, ok = g.Stat("job_wall_ms").(*sim.Distribution); !ok {
+		c.wallMS = g.Distribution("job_wall_ms", "per-job wall-clock (ms)")
+	}
+	return c
 }
 
 func (c *counters) observe(o Outcome) {
@@ -287,9 +262,6 @@ func (c *counters) observe(o Outcome) {
 		return
 	}
 	switch {
-	case o.Pruned:
-		c.pruned.Inc(1)
-		return // no simulation ran: neither ok nor failed, no wall sample
 	case o.Skipped:
 		c.skipped.Inc(1)
 		return // another shard's job: nothing ran here
@@ -320,7 +292,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 	}
 	stats := newCounters(cfg.Stats)
 	if stats != nil {
-		stats.total.Set(float64(len(jobs)))
+		stats.total.Inc(float64(len(jobs)))
 	}
 	if cfg.Progress != nil {
 		cfg.Progress.Start(len(jobs))
@@ -332,8 +304,8 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 	}
 
 	// deliver records one resolved outcome; every job passes through here
-	// exactly once, whether it ran on a worker, ran as the pilot, or was
-	// pruned without running.
+	// exactly once, whether it ran on a worker or belonged to another
+	// shard.
 	done := 0
 	deliver := func(o Outcome) {
 		outcomes[o.Index] = o
@@ -360,52 +332,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 			if owner != cfg.Shard.Index {
 				resolved[i] = true
 				deliver(Outcome{Index: i, Job: j, Skipped: true})
-			}
-		}
-	}
-
-	// Static pruning phase: bound every job, run the smallest-bound pilot
-	// on this goroutine, then skip jobs whose bound proves them worse than
-	// the pilot's measurement. Everything here is a pure function of the
-	// job list, so the surviving set is identical at any worker count —
-	// and, because the pilot is elected over the full list rather than the
-	// owned subset, identical in every shard: each shard prunes against
-	// the same pilot measurement, so the union of owned rows matches an
-	// unsharded pruned run byte for byte. A shard that does not own the
-	// pilot runs it for the measurement alone (the cache dedups the work
-	// when another shard persisted it first) and keeps its Skipped row.
-	var lbs []uint64
-	var lbKnown []bool
-	if cfg.Prune != nil {
-		lbs = make([]uint64, len(jobs))
-		lbKnown = make([]bool, len(jobs))
-		pilot := -1
-		for i, j := range jobs {
-			if lb, ok := cfg.Prune(j); ok {
-				lbs[i], lbKnown[i] = lb, true
-				if pilot < 0 || lb < lbs[pilot] {
-					pilot = i // ties keep the lowest index
-				}
-			}
-		}
-		if pilot >= 0 {
-			po := runJob(ctx, cfg, run, transient, pilot, jobs[pilot])
-			po.StaticLB = lbs[pilot]
-			if !resolved[pilot] {
-				resolved[pilot] = true
-				deliver(po)
-			}
-			// An estimated pilot measurement cannot anchor pruning: the
-			// static bounds are exact, the extrapolation is not, and a
-			// too-low estimate would prune points that beat the truth.
-			if po.Err == nil && po.Metrics != nil && !po.Metrics.Estimated {
-				best := po.Metrics.Cycles
-				for i := range jobs {
-					if !resolved[i] && lbKnown[i] && lbs[i] > best {
-						resolved[i] = true
-						deliver(Outcome{Index: i, Job: jobs[i], Pruned: true, StaticLB: lbs[i]})
-					}
-				}
 			}
 		}
 	}
@@ -472,9 +398,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 	// feeder for jobs never submitted after a cancel), and results closes
 	// after the last.
 	for o := range results {
-		if lbKnown != nil && lbKnown[o.Index] {
-			o.StaticLB = lbs[o.Index]
-		}
 		deliver(o)
 	}
 	if cfg.Progress != nil {
@@ -482,65 +405,10 @@ func Run(ctx context.Context, cfg Config, jobs []Job) []Outcome {
 	}
 	if stats != nil && pool != nil {
 		reused, created := pool.Stats()
-		stats.reused.Set(float64(reused - poolReused0))
-		stats.built.Set(float64(created - poolCreated0))
-	}
-	if cfg.TraceBest != "" {
-		traceBest(ctx, cfg, outcomes)
+		stats.reused.Inc(float64(reused - poolReused0))
+		stats.built.Inc(float64(created - poolCreated0))
 	}
 	return outcomes
-}
-
-// traceBest re-simulates the campaign's best point with a JSON timeline
-// recorder and writes the trace. Cold re-run on purpose: the trace must
-// not perturb pooled sessions, and determinism guarantees the replay
-// matches the sweep's measurement cycle for cycle.
-func traceBest(ctx context.Context, cfg Config, outcomes []Outcome) {
-	warn := func(msg string) {
-		if cfg.Progress != nil {
-			cfg.Progress.Warn(msg)
-		}
-	}
-	best := -1
-	for i, o := range outcomes {
-		if o.Err != nil || o.Pruned || o.Metrics == nil || o.Metrics.Estimated {
-			// Estimated cycle counts cannot elect the best point: the
-			// traced replay is exact and would silently disagree.
-			continue
-		}
-		if best < 0 || o.Metrics.Cycles < outcomes[best].Metrics.Cycles {
-			best = i
-		}
-	}
-	if best < 0 {
-		warn("trace-best: no successful outcome to trace")
-		return
-	}
-	job := outcomes[best].Job
-	rec := timeline.NewJSON()
-	opts := job.Opts
-	opts.Timeline = rec
-	res, err := salam.RunKernelCtx(ctx, job.Kernel, opts)
-	if err != nil {
-		warn(fmt.Sprintf("trace-best: re-running %q: %v", job.ID, err))
-		return
-	}
-	if res.Cycles != outcomes[best].Metrics.Cycles {
-		warn(fmt.Sprintf("trace-best: traced replay of %q measured %d cycles, sweep measured %d",
-			job.ID, res.Cycles, outcomes[best].Metrics.Cycles))
-	}
-	f, err := os.Create(cfg.TraceBest)
-	if err != nil {
-		warn(fmt.Sprintf("trace-best: %v", err))
-		return
-	}
-	werr := rec.Write(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		warn(fmt.Sprintf("trace-best: writing %s: %v", cfg.TraceBest, werr))
-	}
 }
 
 // runJob executes one job with cache lookup, panic recovery, and timeout.
@@ -618,14 +486,6 @@ func runIsolated(ctx context.Context, run jobRunner, job Job) (res *salam.Result
 		}
 	}()
 	return run(ctx, job)
-}
-
-// StaticPrune is the standard Config.Prune hook: the static analyzer's
-// provable cycle lower bound for the job's kernel under its run options
-// (see internal/analysis). Elaboration failures yield no bound, so broken
-// jobs still run and report their real error.
-func StaticPrune(j Job) (uint64, bool) {
-	return salam.StaticLowerBound(j.Kernel, j.Opts)
 }
 
 // StaticEnergy is the provable dynamic-energy lower bound (total pJ) for

@@ -25,7 +25,8 @@ type Row struct {
 	Key string `json:"key,omitempty"`
 	// Status is one of ok, error, pruned, skipped, missing.
 	Status string `json:"status"`
-	// StaticLB is the provable cycle lower bound, when one was computed.
+	// StaticLB is the provable cycle lower bound, when the producer
+	// computed one (salam-dse's pruned sweeps do; RowOf never does).
 	StaticLB uint64 `json:"static_lb,omitempty"`
 	// StaticEnergyPJ is the provable dynamic-energy lower bound in
 	// picojoules (0 when no bound exists). Derived from the job spec, not
@@ -45,8 +46,8 @@ const (
 	// StatusError: the point failed (simulation error, panic, timeout, or
 	// drain).
 	StatusError = "error"
-	// StatusPruned: static lower-bound pruning proved the point worse than
-	// a measured sibling; it was never simulated.
+	// StatusPruned: salam-dse's static lower-bound pruning proved the point
+	// worse than a measured sibling; it was never simulated.
 	StatusPruned = "pruned"
 	// StatusSkipped: another shard owns the point.
 	StatusSkipped = "skipped"
@@ -57,10 +58,9 @@ const (
 // RowOf projects an outcome onto its canonical row.
 func RowOf(o Outcome) Row {
 	r := Row{
-		Index:    o.Index,
-		ID:       o.Job.ID,
-		Kernel:   o.Job.KernelKey,
-		StaticLB: o.StaticLB,
+		Index:  o.Index,
+		ID:     o.Job.ID,
+		Kernel: o.Job.KernelKey,
 	}
 	if r.Kernel == "" && o.Job.Kernel != nil {
 		r.Kernel = o.Job.Kernel.Name
@@ -72,8 +72,6 @@ func RowOf(o Outcome) Row {
 		r.StaticEnergyPJ = e
 	}
 	switch {
-	case o.Pruned:
-		r.Status = StatusPruned
 	case o.Skipped:
 		r.Status = StatusSkipped
 	case o.Err != nil:

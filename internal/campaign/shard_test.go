@@ -166,83 +166,6 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardPruneSharedPilot: Shard and Prune compose. The pilot is a pure
-// function of the full job list, so every shard prunes against the same
-// pilot measurement; stitching each job's row from the shard that owns it
-// reproduces the unsharded pruned sweep byte for byte (pruned rows, bounds,
-// and surviving metrics all included). This is the regression test for the
-// old behaviour where each shard elected a pilot from its own subset and
-// pruned less than a local run.
-func TestShardPruneSharedPilot(t *testing.T) {
-	jobs := gemmTreeSweep()
-	ref := Run(context.Background(), Config{Workers: 4, Prune: StaticPrune}, jobs)
-	want := renderPrunedCSV(t, ref)
-	nPruned := 0
-	for _, o := range ref {
-		if o.Pruned {
-			nPruned++
-		}
-	}
-	if nPruned == 0 {
-		t.Fatal("reference sweep pruned nothing; the test premise is gone")
-	}
-
-	const n = 2
-	pilot := -1
-	var pilotLB uint64
-	owner := make([]int, len(jobs))
-	for i, j := range jobs {
-		key, err := JobKey(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner[i] = ShardOf(key, n)
-		if lb, ok := StaticPrune(j); ok && (pilot < 0 || lb < pilotLB) {
-			pilot, pilotLB = i, lb
-		}
-	}
-
-	store, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined := make([]Outcome, len(jobs))
-	for shard := 0; shard < n; shard++ {
-		out := Run(context.Background(), Config{
-			Workers: 2,
-			Cache:   store,
-			Prune:   StaticPrune,
-			Shard:   &Shard{Index: shard, Count: n},
-		}, jobs)
-		foreignPruned := 0
-		for i, o := range out {
-			if owner[i] == shard {
-				if o.Skipped {
-					t.Fatalf("shard %d skipped its own job %d", shard, i)
-				}
-				combined[i] = o
-			} else if !o.Skipped {
-				t.Fatalf("shard %d resolved foreign job %d as %+v, want Skipped", shard, i, o)
-			}
-			if o.Pruned && owner[pilot] != shard {
-				foreignPruned++
-			}
-		}
-		if owner[pilot] != shard && foreignPruned == 0 && nPruned > 1 {
-			// The shard without the pilot still pruned nothing only if it
-			// owns no prunable job; with this sweep's distribution it does.
-			for i, o := range ref {
-				if o.Pruned && owner[i] == shard {
-					t.Fatalf("shard %d owns prunable job %d but pruned nothing: pilot not shared", shard, i)
-				}
-			}
-		}
-	}
-	if got := renderPrunedCSV(t, combined); got != want {
-		t.Fatalf("sharded union differs from unsharded pruned sweep:\n--- sharded\n%s--- unsharded\n%s", got, want)
-	}
-}
-
 // TestMergeRowsMissing: a merge over an incomplete store reports the holes
 // as status "missing" instead of inventing data.
 func TestMergeRowsMissing(t *testing.T) {

@@ -2,15 +2,18 @@ package campaign
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	salam "gosalam"
+	"gosalam/internal/soccfg"
 	"gosalam/kernels"
 )
 
 // Space is a declarative design-space spec: the JSON body a salam-serve
-// campaign submission carries, and the structure salam-dse builds from its
-// flags. One definition on both sides guarantees the CLI and the service
+// campaign submission carries, and the document salam-dse -space reads.
+// One definition on both sides guarantees the CLI and the service
 // enumerate identical job lists — same IDs, same content-addressed keys —
 // which is what makes their outputs diffable and their shards mergeable.
 //
@@ -53,6 +56,27 @@ type Space struct {
 	// and provably-infeasible regions are pruned without simulating.
 	// Sweeps ignore it.
 	MaxAreaUM2 float64 `json:"max_area_um2,omitempty"`
+}
+
+// LoadSpace reads a Space document from path ("-" reads stdin) through the
+// strict config decoder: a key Space does not define is an error carrying
+// its field path and, for a near miss, a "did you mean" hint.
+func LoadSpace(path string) (Space, error) {
+	var space Space
+	var data []byte
+	var err error
+	if path == "-" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return space, err
+	}
+	if err := soccfg.Unmarshal(data, &space); err != nil {
+		return space, fmt.Errorf("%s: %w", path, err)
+	}
+	return space, nil
 }
 
 // Range is an inclusive arithmetic progression: Min, Min+Step, … ≤ Max.

@@ -47,9 +47,9 @@ import (
 // and break byte-identical frontiers across -jobs settings.
 const DefaultBatch = 32
 
-// Config parameterizes a search. Workers, Cache, Sessions, ColdStart,
-// Runner, and Drain have campaign.Config semantics — the search runs its
-// simulations through that engine.
+// Config parameterizes a search. Workers, Cache, Sessions, Runner, and
+// Drain have campaign.Config semantics — the search runs its simulations
+// through that engine.
 type Config struct {
 	// Space declares the design space (ranged knobs welcome: the search
 	// never enumerates the cross product).
@@ -67,13 +67,8 @@ type Config struct {
 	// Sessions is the warm-start pool simulations draw from (nil = one
 	// scoped to this search).
 	Sessions *salam.SessionPool
-	// ColdStart disables warm-start session reuse.
-	ColdStart bool
 	// Runner overrides the simulation function (tests).
 	Runner campaign.Runner
-	// NoProxy disables the successive-halving proxy rung even when a
-	// reduced-trip proxy kernel exists.
-	NoProxy bool
 	// Stats, when non-nil, gets a "search" child group with the outcome
 	// counters.
 	Stats *sim.Group
@@ -81,6 +76,11 @@ type Config struct {
 	// wave boundary: committed results stand, Result.Drained is set, and
 	// re-running against the same store resumes the work.
 	Drain <-chan struct{}
+
+	// coldStart disables warm-start session reuse, and noProxy the
+	// successive-halving proxy rung; the package's tests compare both
+	// against the defaults.
+	coldStart, noProxy bool
 }
 
 // Result is what a search proved.
@@ -129,14 +129,14 @@ func (c Config) base(pool *salam.SessionPool) campaign.Config {
 		Workers:   c.Workers,
 		Cache:     c.Cache,
 		Runner:    c.Runner,
-		ColdStart: c.ColdStart,
+		ColdStart: c.coldStart,
 		Sessions:  pool,
 		Drain:     c.Drain,
 	}
 }
 
 func (c Config) pool() *salam.SessionPool {
-	if c.Runner != nil || c.ColdStart {
+	if c.Runner != nil || c.coldStart {
 		return nil
 	}
 	if c.Sessions != nil {
@@ -230,7 +230,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{Points: ax.Size(), Classes: leaves}
 	obj, _ := ParseObjective(ax.Objective) // Axes validated the string
 	sel := newSelector(obj, ax.MaxAreaUM2)
-	proxyK, proxyKey := proxyKernel(ax, cfg.NoProxy)
+	proxyK, proxyKey := proxyKernel(ax, cfg.noProxy)
 	pool := cfg.pool()
 	base := cfg.base(pool)
 

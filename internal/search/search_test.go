@@ -154,7 +154,7 @@ func TestSearchColdWarmAndResume(t *testing.T) {
 	space := smallSpace()
 	ctx := context.Background()
 
-	cold, err := Run(ctx, Config{Space: space, Workers: 4, ColdStart: true})
+	cold, err := Run(ctx, Config{Space: space, Workers: 4, coldStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestSearchPruning(t *testing.T) {
 		res.Power.AreaFU = wideEnv.AreaUM2 / 2
 		return res, nil
 	}
-	res, err := Run(context.Background(), Config{Space: space, Runner: runner, NoProxy: true})
+	res, err := Run(context.Background(), Config{Space: space, Runner: runner, noProxy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +346,12 @@ func TestSearchProxyRuns(t *testing.T) {
 	if res.ProxyRuns == 0 {
 		t.Fatal("proxy rung never ran on a multi-wave space")
 	}
-	noproxy, err := Run(context.Background(), Config{Space: space, Workers: 4, BatchSize: 4, NoProxy: true})
+	noproxy, err := Run(context.Background(), Config{Space: space, Workers: 4, BatchSize: 4, noProxy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noproxy.ProxyRuns != 0 {
-		t.Fatal("NoProxy still ran proxies")
+		t.Fatal("noProxy still ran proxies")
 	}
 	// Proxy ordering must not change what the search proves.
 	a, b := FrontierCSV(space.Kernel, res.Frontier), FrontierCSV(space.Kernel, noproxy.Frontier)

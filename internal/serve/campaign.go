@@ -46,7 +46,7 @@ type Campaign struct {
 	fail      string   // terminal failure reason (stateCanceled)
 	searchRes *search.Result
 
-	simulated, cached, failed, pruned, skipped int
+	simulated, cached, failed, skipped int
 }
 
 func newCampaign(id, tenant string, space campaign.Space, jobs []campaign.Job) *Campaign {
@@ -96,8 +96,6 @@ func (c *Campaign) observe(o campaign.Outcome) {
 	c.mu.Lock()
 	c.done++
 	switch {
-	case o.Pruned:
-		c.pruned++
 	case o.Skipped:
 		c.skipped++
 	case o.Err != nil:
@@ -168,9 +166,6 @@ func (s *Server) runCampaign(c *Campaign) {
 	if v, ok := stats.Lookup(c.ID + ".campaign.jobs_failed"); ok {
 		s.stats.pointsFailed.Add(uint64(v))
 	}
-	if v, ok := stats.Lookup(c.ID + ".campaign.points_pruned"); ok {
-		s.stats.pointsPruned.Add(uint64(v))
-	}
 	if v, ok := stats.Lookup(c.ID + ".campaign.points_skipped"); ok {
 		s.stats.pointsSkipped.Add(uint64(v))
 	}
@@ -210,7 +205,6 @@ type snapshot struct {
 	Simulated int    `json:"simulated"`
 	Cached    int    `json:"cached"`
 	Failed    int    `json:"failed,omitempty"`
-	Pruned    int    `json:"pruned,omitempty"`
 	Skipped   int    `json:"skipped,omitempty"`
 	Reason    string `json:"reason,omitempty"`
 
@@ -242,7 +236,6 @@ func (c *Campaign) snapshot() snapshot {
 		Simulated: c.simulated,
 		Cached:    c.cached,
 		Failed:    c.failed,
-		Pruned:    c.pruned,
 		Skipped:   c.skipped,
 		Reason:    c.fail,
 	}

@@ -12,12 +12,10 @@ package serve
 // store resumes from cache hits.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 
-	"gosalam/internal/campaign"
 	"gosalam/internal/search"
 )
 
@@ -33,15 +31,8 @@ type searchSubmitResponse struct {
 // handleSearchSubmit: POST /v1/searches with a campaign.Space JSON body.
 func (s *Server) handleSearchSubmit(w http.ResponseWriter, r *http.Request) {
 	s.stats.submitted.Add(1)
-	var space campaign.Space
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&space); err != nil {
-		s.stats.rejectedInvalid.Add(1)
-		writeError(w, http.StatusBadRequest, "decoding space spec: "+err.Error())
-		return
-	}
-	if err := space.Validate(); err != nil {
+	space, err := decodeSpace(r)
+	if err != nil {
 		s.stats.rejectedInvalid.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -151,7 +151,7 @@ func RestoreStats(g *Group, s snapshot.Group) error {
 		return fmt.Errorf("sim: stats group %q does not match image group %q", g.name, s.Name)
 	}
 	for _, ss := range s.Stats {
-		live := findStat(g, ss.Name)
+		live := g.Stat(ss.Name)
 		if live == nil {
 			return fmt.Errorf("sim: stats group %q has no stat %q from image", g.name, ss.Name)
 		}
@@ -188,15 +188,6 @@ func RestoreStats(g *Group, s snapshot.Group) error {
 		}
 		if err := RestoreStats(live, sc); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-func findStat(g *Group, name string) Stat {
-	for _, s := range g.stats {
-		if s.StatName() == name {
-			return s
 		}
 	}
 	return nil

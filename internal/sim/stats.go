@@ -248,6 +248,16 @@ func (g *Group) Add(stats ...Stat) *Group {
 	return g
 }
 
+// Stat returns the stat registered in this group under name, or nil.
+func (g *Group) Stat(name string) Stat {
+	for _, s := range g.stats {
+		if s.StatName() == name {
+			return s
+		}
+	}
+	return nil
+}
+
 // Scalar creates and registers a scalar in one step.
 func (g *Group) Scalar(name, desc string) *Scalar {
 	s := NewScalar(name, desc)
