@@ -8,6 +8,7 @@ package salam_test
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	salam "gosalam"
@@ -44,9 +45,11 @@ func TestStaticLowerBoundSoundness(t *testing.T) {
 	}
 	n := 0
 	for name, pt := range golden {
-		if name == "cnn-cluster" {
-			continue // a 3-accelerator SoC scenario, not a single kernel
+		if name == "cnn-cluster" || name == "cnn-stream" {
+			continue // 3-accelerator SoC scenarios, not single kernels
 		}
+		opts := salam.DefaultRunOpts()
+		name, opts.Accel.ConservativeMemOrder = strings.CutSuffix(name, "/strict-order")
 		k := kernels.ByName(kernels.Small, name)
 		if k == nil {
 			k = llByName[name]
@@ -54,7 +57,6 @@ func TestStaticLowerBoundSoundness(t *testing.T) {
 		if k == nil {
 			t.Fatalf("golden kernel %q not in kernels.Small or testdata/ll", name)
 		}
-		opts := salam.DefaultRunOpts()
 		rep := analyzeKernel(t, k, opts.Accel)
 		lb := rep.LowerBound(opts.Accel)
 		if lb.Cycles > pt.Cycles {

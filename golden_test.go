@@ -1,10 +1,12 @@
 package salam_test
 
 // Golden determinism gate for the simulation engine. Every kernel in
-// kernels.All runs at DefaultRunOpts and its cycle count, total tick count,
-// fired-event count and per-cycle schedule hash are compared byte-for-byte
-// against the committed golden file. Any engine change that alters the
-// schedule — not just the final answer — trips this test. Regenerate deliberately with
+// kernels.All runs at DefaultRunOpts (stencil2d also under strict memory
+// order) and two SoCs run a CNN pipeline; each run's cycle count, total
+// tick count, fired-event count and per-cycle schedule hash are compared
+// byte-for-byte against the committed golden file. Any engine change that
+// alters the schedule — not just the final answer — trips this test.
+// Regenerate deliberately with
 //
 //	go test -run TestGoldenDeterminism -update-golden
 //
@@ -22,6 +24,7 @@ import (
 
 	salam "gosalam"
 	"gosalam/internal/core"
+	"gosalam/internal/soccfg"
 	"gosalam/internal/timeline"
 	"gosalam/kernels"
 )
@@ -103,7 +106,16 @@ func currentGolden(t *testing.T, traced bool) []byte {
 		}
 		got[k.Name] = kernelGolden(t, k, opts)
 	}
+	// Strict program order is the conservative-disambiguation branch no
+	// default-option kernel takes.
+	strict := salam.DefaultRunOpts()
+	strict.Accel.ConservativeMemOrder = true
+	if traced {
+		strict.Timeline = timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown())
+	}
+	got["stencil2d/strict-order"] = kernelGolden(t, kernels.Stencil2D(12, 12), strict)
 	got["cnn-cluster"] = clusterGolden(t, traced)
+	got["cnn-stream"] = streamGolden(t, traced)
 	// encoding/json emits map keys sorted, so the bytes are canonical.
 	out, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
@@ -189,6 +201,34 @@ func clusterGolden(t *testing.T, traced bool) goldenPoint {
 		EventsFired: soc.Q.Fired(),
 		ScheduleSHA: scheduleSHA(t, conv.Acc, relu.Acc, pool.Acc),
 	}
+}
+
+// streamGolden fingerprints configs/cnn_stream.json: conv2d → ReLU →
+// streaming max-pool, fed by a block DMA and linked by two stream windows.
+// It is the one entry whose loads and stores are FIFO pops and pushes, so
+// it pins the engine's same-window ordering and the stream handshake.
+func streamGolden(t *testing.T, traced bool) goldenPoint {
+	t.Helper()
+	c, err := soccfg.Load(filepath.Join("configs", "cnn_stream.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := salam.BuildFromConfig(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced {
+		b.SoC.SetTimeline(timeline.NewTee(timeline.NewJSON(), timeline.NewBreakdown()))
+	}
+	conv, relu, pool := b.Accels["conv"], b.Accels["relu"], b.Accels["pool"]
+	for _, n := range []*salam.AccelNode{conv, relu, pool} {
+		n.Acc.EnableProfile(goldenProfileCap)
+	}
+	p := streamDriver(t, b.SoC, conv, relu, pool,
+		b.DMAs["dma"].MMR.Range().Base, b.DMAIRQs["dma"],
+		b.StreamOut["s1"], b.StreamIn["s1"], b.StreamOut["s2"], b.StreamIn["s2"])
+	p.ScheduleSHA = scheduleSHA(t, conv.Acc, relu.Acc, pool.Acc)
+	return p
 }
 
 // TestGoldenTracedObserverEffect is the CI gate on the timeline's
