@@ -58,8 +58,14 @@ race:
 # testdata/golden_cycles.json. Perf work on the engine hot paths is only
 # legal when this passes; only a change that moves work on or off the event
 # queue may regenerate events_fired, and then schedule_sha must not move.
+# The memory-order oracle holds the engine's memoized disambiguation to
+# the full scan at every edge of the golden kernels, the stream SoC and
+# random kernels, and the stream config must match its Go-built twin, so
+# the gate covers every ordering branch.
 golden:
 	$(GO) test -run TestGoldenDeterminism -count=1 .
+	$(GO) test -run 'TestMemOrder|TestDynOpSizeClass' -count=1 ./internal/core
+	$(GO) test -run TestConfigStreamMatchesGoBuilt -count=1 .
 
 # Timeline smoke: the CLI path writes a gemm Perfetto trace end to end, and
 # the decoding test re-validates the trace_event JSON structure plus the
@@ -136,9 +142,10 @@ ll-smoke:
 	$(GO) test -run 'TestParse' -count=1 ./ir
 
 # One engine iteration end to end, so `check` notices a broken benchmark
-# harness without paying for a full timed run.
+# harness without paying for a full timed run; the ordering ablation adds
+# one strict-program-order run.
 bench-smoke:
-	$(GO) test -bench=BenchmarkEngineGEMM -benchtime=1x -run '^$$' .
+	$(GO) test -bench='BenchmarkEngineGEMM|BenchmarkAblationMemOrder' -benchtime=1x -run '^$$' .
 
 # bench/ is a nested module root `go build ./...` never compiles, yet it is
 # the accept/reject benchmark and it compiles against this module's API

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gosalam/internal/hw"
 	"gosalam/internal/sim"
@@ -95,18 +97,22 @@ type dynOp struct {
 	pending   []bool
 	waitingOn int
 	waiters   []waiter
+	val       uint64
 
-	state opState
-	val   uint64
-
+	// state, arrived, win and qi share one word, which keeps dynOp in the
+	// 192-byte allocation size class.
+	state   opState
+	arrived bool // memory response received, committing at next edge
+	// win caches the stream window of a memory op's address (-1 for none;
+	// winUnknown until first use, which needs the address resolved).
+	win int8
 	// qi is the op's current index in resQ, kept up to date through
 	// compaction: it is the op's position in the ready and arrived sets.
 	qi int32
 
 	// Memory fields.
-	addr    uint64
-	size    int
-	arrived bool // response received, committing at next edge
+	addr uint64
+	size int
 	// buf stages outbound store data; the memory system consumes it before
 	// completion, and the op is not recycled until it commits.
 	buf [8]byte
@@ -120,7 +126,18 @@ type dynOp struct {
 	// latency); nextDue links the ops that share its due-wheel slot.
 	due     uint64
 	nextDue *dynOp
+
+	// ordBlk and ordSeq memoize memOrderOK: every older access below
+	// sequence number ordSeq was last seen not to block this op, and
+	// ordBlk, unless nil or since recycled (its seq no longer ordSeq), is
+	// the access at ordSeq that did. Cleared at fetch and Restore; never
+	// serialized.
+	ordBlk *dynOp
+	ordSeq uint64
 }
+
+// winUnknown marks a dynOp whose stream window is not yet computed.
+const winUnknown int8 = -2
 
 func (d *dynOp) isLoad() bool  { return d.st.Load }
 func (d *dynOp) isStore() bool { return d.st.Store }
@@ -508,6 +525,7 @@ func (a *Accelerator) fetch(b *ir.Block, prev *ir.Block) {
 		d.state = stWaiting
 		d.arrived = false
 		d.waitingOn = 0
+		d.win, d.ordBlk, d.ordSeq = winUnknown, nil, 0
 		srcs := st.Srcs
 		if in.Op == ir.OpPhi {
 			// Resolve the incoming edge now; the mux selects one operand.
@@ -656,48 +674,82 @@ func (a *Accelerator) evaluate(d *dynOp) uint64 {
 
 // memOrderOK applies dynamic disambiguation: an access may issue only if
 // no older, unfinished access could alias it.
+//
+// The check is paid once per (access, blocker), not once per cycle. For a
+// fixed ready d, an older access's verdict can only move from "blocks" to
+// "does not block", never back: op state only advances (waiting,
+// in flight, done), an address operand resolves once, and pendingMem only
+// gains ops younger than d and loses only done ones. So d remembers where
+// its last check stopped (ordBlk at ordSeq), answers false in O(1) while
+// that access still blocks, and otherwise resumes the program-order scan
+// there, found by binary search on seq. A passed check leaves ordSeq at
+// d.seq, so a stream pop that passed ordering but found its FIFO empty
+// passes again at once. The verdict is the full scan's, cycle for cycle;
+// only redundant work is skipped.
 func (a *Accelerator) memOrderOK(d *dynOp) bool {
-	for _, o := range a.pendingMem {
+	b := d.ordBlk
+	if b == nil && d.ordSeq > 0 {
+		return true // passed before
+	}
+	dAddr, dSize := d.effAddr()
+	dEnd, dWin := dAddr+uint64(dSize), a.window(d)
+	pm := a.pendingMem
+	if b != nil {
+		if b.seq == d.ordSeq && a.blocks(b, d, dAddr, dEnd, dWin) {
+			return false
+		}
+		i, _ := slices.BinarySearchFunc(pm, d.ordSeq, func(o *dynOp, seq uint64) int { return cmp.Compare(o.seq, seq) })
+		pm = pm[i:]
+	}
+	for _, o := range pm {
 		if o.seq >= d.seq {
 			break
 		}
-		if o.state == stDone {
-			continue
-		}
-		if a.Cfg.ConservativeMemOrder {
-			return false // strict program order among memory ops
-		}
-		dAddr, dSize := d.effAddr()
-		dWin := a.Comm.WindowIndex(dAddr)
-		if d.isLoad() && o.isLoad() {
-			// Loads reorder freely — except within a stream window, where
-			// pops must stay in program order.
-			if dWin < 0 {
-				continue
-			}
-			if !o.addrKnown() {
-				return false
-			}
-			oAddr, _ := o.effAddr()
-			if a.Comm.WindowIndex(oAddr) == dWin && o.state == stWaiting {
-				return false
-			}
-			continue
-		}
-		if !o.addrKnown() {
-			return false // older access with unknown address
-		}
-		oAddr, oSize := o.effAddr()
-		// Same-window stores (FIFO pushes) stay in program order even
-		// though their addresses never overlap.
-		if dWin >= 0 && a.Comm.WindowIndex(oAddr) == dWin && o.state == stWaiting {
+		if a.blocks(o, d, dAddr, dEnd, dWin) {
+			d.ordBlk, d.ordSeq = o, o.seq
 			return false
 		}
-		if oAddr < dAddr+uint64(dSize) && dAddr < oAddr+uint64(oSize) {
-			return false // overlap
-		}
 	}
+	d.ordBlk, d.ordSeq = nil, d.seq
 	return true
+}
+
+// blocks reports whether the older access o keeps d, whose access spans
+// [dAddr, dEnd) in stream window dWin (-1 for none), from issuing.
+func (a *Accelerator) blocks(o, d *dynOp, dAddr, dEnd uint64, dWin int8) bool {
+	if o.state == stDone {
+		return false
+	}
+	if a.Cfg.ConservativeMemOrder {
+		return true // strict program order among memory ops
+	}
+	loads := d.st.Load && o.st.Load
+	if loads && dWin < 0 {
+		return false // loads reorder freely outside stream windows
+	}
+	if !o.addrKnown() {
+		return true // older access with unknown address
+	}
+	// Same-window pops and pushes stay in program order even though their
+	// addresses need not overlap.
+	if dWin >= 0 && o.state == stWaiting && a.window(o) == dWin {
+		return true
+	}
+	if loads {
+		return false
+	}
+	oAddr, oSize := o.effAddr()
+	return oAddr < dEnd && dAddr < oAddr+uint64(oSize) // overlap
+}
+
+// window returns the stream window of a memory op's resolved address,
+// computed at first use.
+func (a *Accelerator) window(d *dynOp) int8 {
+	if d.win == winUnknown {
+		addr, _ := d.effAddr()
+		d.win = int8(a.Comm.WindowIndex(addr))
+	}
+	return d.win
 }
 
 // addrKnown reports whether the op's address operand has resolved.
@@ -717,7 +769,8 @@ func (d *dynOp) effAddr() (uint64, int) {
 }
 
 // tryIssueMem attempts to issue a resolved memory op. The O(1) port check
-// runs before the O(pending) disambiguation scan.
+// runs before disambiguation, which is O(1) while the op's memoized
+// blocker still blocks it.
 func (a *Accelerator) tryIssueMem(d *dynOp) bool {
 	if d.isLoad() {
 		if !a.Comm.CanRead() {

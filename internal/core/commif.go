@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gosalam/internal/mem"
 	"gosalam/internal/sim"
@@ -68,6 +69,8 @@ type CommInterface struct {
 	// read buffer), so issuing memory traffic is allocation-free once the
 	// pool is warm.
 	reqPool []*commReq
+	// streamPool does the same for stream-window completions.
+	streamPool []*streamDone
 
 	// Stats.
 	LoadsIssued, StoresIssued   *sim.Scalar
@@ -140,6 +143,9 @@ func (c *CommInterface) AttachGlobal(p mem.Port) { c.global = p }
 
 // AttachStream binds a stream buffer to an address window.
 func (c *CommInterface) AttachStream(rng mem.AddrRange, buf *mem.StreamBuffer, dir StreamDir) {
+	if len(c.streams) == math.MaxInt8 {
+		panic(fmt.Sprintf("core: %s: more than %d stream windows", c.name, math.MaxInt8))
+	}
 	c.streams = append(c.streams, streamWindow{rng: rng, buf: buf, dir: dir})
 }
 
@@ -235,6 +241,42 @@ func (c *CommInterface) allocReq() *commReq {
 	return cr
 }
 
+// streamDone is one pooled stream-window completion: a pop's data or a
+// push's acknowledgement, delivered one clock after the handshake. It is
+// scheduled as a sim.Firer and returns to the pool when it fires, so
+// stream traffic is allocation-free once the pool is warm. It is not a
+// mem.Request: a checkpoint cannot claim it, and is refused while one is
+// pending.
+type streamDone struct {
+	c     *CommInterface
+	rdone func(data []byte)
+	wdone func()
+	buf   [8]byte
+	n     int
+}
+
+func (c *CommInterface) allocStreamDone() *streamDone {
+	if n := len(c.streamPool); n > 0 {
+		sd := c.streamPool[n-1]
+		c.streamPool = c.streamPool[:n-1]
+		return sd
+	}
+	return &streamDone{c: c}
+}
+
+// Fire delivers the completion and recycles the wrapper.
+func (sd *streamDone) Fire() {
+	if rdone := sd.rdone; rdone != nil {
+		sd.rdone = nil
+		rdone(sd.buf[:sd.n])
+	} else {
+		wdone := sd.wdone
+		sd.wdone = nil
+		wdone()
+	}
+	sd.c.streamPool = append(sd.c.streamPool, sd)
+}
+
 // IssueRead starts a read. It returns false when the access targets a
 // stream window that is currently empty (the op must retry). done receives
 // the data bits via the event queue.
@@ -244,14 +286,16 @@ func (c *CommInterface) IssueRead(addr uint64, size int, done func(data []byte))
 		if w.dir != StreamIn {
 			panic(fmt.Sprintf("core: %s: load from output stream window %#x", c.name, addr))
 		}
-		data, ok := w.buf.Pop(size)
-		if !ok {
+		sd := c.allocStreamDone()
+		if !w.buf.PopInto(sd.buf[:size]) {
+			c.streamPool = append(c.streamPool, sd)
 			c.StreamStalls.Inc(1)
 			return false
 		}
+		sd.rdone, sd.n = done, size
 		c.StreamPops.Inc(1)
 		c.readsThisCycle++
-		c.q.Schedule(c.q.Now()+c.clk.Period(), sim.PriMemResp, func() { done(data) })
+		c.q.ScheduleObj(c.q.Now()+c.clk.Period(), sim.PriMemResp, sd)
 		return true
 	}
 	c.readsThisCycle++
@@ -280,9 +324,11 @@ func (c *CommInterface) IssueWrite(addr uint64, data []byte, done func()) bool {
 			c.StreamStalls.Inc(1)
 			return false
 		}
+		sd := c.allocStreamDone()
+		sd.wdone = done
 		c.StreamPushes.Inc(1)
 		c.writesThisCycle++
-		c.q.Schedule(c.q.Now()+c.clk.Period(), sim.PriMemResp, func() { done() })
+		c.q.ScheduleObj(c.q.Now()+c.clk.Period(), sim.PriMemResp, sd)
 		return true
 	}
 	c.writesThisCycle++

@@ -137,6 +137,7 @@ func (a *Accelerator) Restore(c *snapshot.Component, _ mem.Resolver) error {
 		d.addr, d.size = sd.Addr, int(sd.Size)
 		d.arrived = sd.Arrived
 		d.buf = sd.Buf
+		d.win, d.ordBlk, d.ordSeq = winUnknown, nil, 0
 		a.resQ = append(a.resQ, d)
 		if d.state == stInflight && !d.st.Mem {
 			// A compute op arrives only by coming due, within the wheel's reach.

@@ -91,7 +91,18 @@ func (s *StreamBuffer) Pop(n int) ([]byte, bool) {
 		return nil, false
 	}
 	out := make([]byte, n)
-	copy(out, s.data[s.head:s.head+n])
+	return out, s.PopInto(out)
+}
+
+// PopInto removes the next len(dst) bytes into dst, reporting false, with
+// dst untouched, if fewer are buffered. It is Pop without the allocation.
+func (s *StreamBuffer) PopInto(dst []byte) bool {
+	n := len(dst)
+	if s.Len() < n {
+		s.StallsEmpty.Inc(1)
+		return false
+	}
+	copy(dst, s.data[s.head:s.head+n])
 	s.head += n
 	if s.head == len(s.data) {
 		s.data = s.data[:0]
@@ -102,7 +113,7 @@ func (s *StreamBuffer) Pop(n int) ([]byte, bool) {
 		s.rec.Counter(s.tlLane, uint64(s.q.Now()), float64(s.Len()))
 	}
 	s.wake(&s.onSpace)
-	return out, true
+	return true
 }
 
 // NotifyData registers a one-shot callback for when data arrives.

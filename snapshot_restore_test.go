@@ -586,6 +586,40 @@ func TestRestoreSoCMidFlight(t *testing.T) {
 	}
 }
 
+// A stream-window pop completes one accelerator clock after its
+// handshake, on an event no device claims. A checkpoint taken while that
+// completion is pending must be refused; one clock later, with nothing
+// else in flight, the same system checkpoints.
+func TestCheckpointRefusedWhileStreamPopPending(t *testing.T) {
+	const n = 8
+	soc := salam.NewSoC(1)
+	node, err := soc.AddAccel("relu", kernels.ReLU(n).F, salam.AccelOpts{SPMBytes: n * 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifo := mem.NewStreamBuffer("fifo", soc.Q, n*8, soc.Stats)
+	win := soc.StreamWindow(node, fifo, core.StreamIn)
+	in := make([]byte, n*8)
+	for j := 0; j < n; j++ {
+		binary.LittleEndian.PutUint64(in[j*8:], math.Float64bits(float64(j)-3))
+	}
+	if !fifo.Push(in) {
+		t.Fatal("input did not fit the FIFO")
+	}
+	node.Acc.Start([]uint64{win, node.SPM.Range().Base})
+	soc.Q.RunWhile(func() bool { return fifo.Len() > 0 })
+	if !node.Acc.Busy() {
+		t.Fatal("kernel finished before its last pop completed")
+	}
+	if _, err := soc.Checkpoint(); err == nil || !strings.Contains(err.Error(), "not snapshotable") {
+		t.Fatalf("checkpoint with a stream pop pending: err = %v, want a refusal", err)
+	}
+	soc.Q.RunUntil(soc.Q.Now() + node.Acc.Clk.Period())
+	if _, err := soc.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint once the pop completed: %v", err)
+	}
+}
+
 // TestSessionPoolDropsPanicPoisonedSession is the satellite regression for
 // dirty-session poisoning: a panic raised while begin is rewriting session
 // state (between the warm rewind and Reconfigure) must leave the session
